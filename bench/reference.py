@@ -70,7 +70,9 @@ class SpeedTracker:
     is then the machine's slowness during run i relative to REFERENCE_S
     (the mean of the references taken just before and just after it).
     With jobs > 1 each mark runs the reference in `jobs` processes at once
-    and keeps their mean; ``close()`` stops those processes.
+    and keeps their mean; ``close()`` stops those processes and waits for
+    them.  The processes are forked: a spawn context would also start
+    multiprocessing's resource tracker, which outlives this process.
     """
 
     def __init__(self, jobs: int = 1):
@@ -78,7 +80,7 @@ class SpeedTracker:
         self._jobs = jobs
         self._pool = None
         if jobs > 1:
-            ctx = multiprocessing.get_context("spawn")
+            ctx = multiprocessing.get_context("fork")
             self._pool = ctx.Pool(jobs, initializer=_init_worker,
                                   initargs=(ctx.Barrier(jobs),))
 
@@ -94,6 +96,6 @@ class SpeedTracker:
 
     def close(self) -> None:
         if self._pool is not None:
-            self._pool.close()
+            self._pool.terminate()      # idle by now, or the run is failing
             self._pool.join()
             self._pool = None

@@ -30,6 +30,7 @@ import os
 import platform
 import resource
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -44,7 +45,7 @@ ROOT = BENCH.parent
 OUT = ROOT / ".bench_out"
 
 WORKLOADS = ("sweep-continuous", "discrete-simulate", "urn", "linear-exact")
-STARTUPS = 7          # fresh interpreters per run; setup_s is their median
+STARTUPS = 15         # fresh interpreters per run; setup_s is their median
 MIN_ITERATIONS = 3    # timed iterations per run, even past --seconds
 
 
@@ -272,6 +273,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
+    # SIGTERM unwinds like an exception, so every pool is stopped and joined
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     src = ROOT / "src"
     sys.path.insert(0, str(src))
     try:
