@@ -25,7 +25,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .model import gamma_threshold
 from .rng import derive_seed
 
 __all__ = [
@@ -298,9 +297,6 @@ def verify_dominance(traj_a, traj_b, drift_a=None, drift_b=None,
                            monotone_precondition_ok=precondition)
 
 
-BOUNDARY_BAND = 0.02  # |gamma - threshold| <= band: reported, never gates acceptance
-
-
 @dataclass(eq=True)
 class PhaseCell:
     """One (k, gamma) grid point: regime prediction plus its Monte Carlo result."""
@@ -310,13 +306,3 @@ class PhaseCell:
     prediction: str            # "nonconvergence" | "convergence"
     boundary: bool
     result: MCResult
-
-    @classmethod
-    def predict(cls, k: float, gamma: float, discrete: bool) -> tuple[str, bool]:
-        tilde = gamma_threshold(k)
-        if discrete:
-            nonconv = gamma < tilde
-        else:
-            nonconv = gamma <= tilde
-        prediction = "nonconvergence" if nonconv else "convergence"
-        return prediction, abs(gamma - tilde) <= BOUNDARY_BAND

@@ -20,10 +20,16 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
+from . import continuous as cont
+from . import discrete as disc
 from .analysis import Outcome
-from .experiments import (ExperimentConfig, phase_sweep, run_dichotomy,
-                          run_urn_experiment)
+from .experiments import (ExperimentConfig, _build_runner, _runner_kind,
+                          phase_sweep, run_dichotomy, run_urn_experiment)
+from .model import DriftSpec
+from .rng import derive_seed
 
 CSV_COLUMNS = ["k", "gamma", "prediction", "n_converged", "n_escaped",
                "n_undecided", "p_conv", "ci_lo", "ci_hi", "seed"]
@@ -188,31 +194,21 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _dump_trajectories(config: ExperimentConfig, out_dir: Path) -> None:
-    import numpy as np
-
-    from . import continuous as cont
-    from . import discrete as disc
-    from .experiments import _build_runner, _runner_kind
-    from .model import DriftSpec
-    from .rng import derive_seed
-
-    n = min(config.trials, config.dump_max)
-    runner, _ = _build_runner(config, config.k, config.gamma)
+    """Every state of the first dump_max trials, all recorded in one batch."""
+    seeds = [derive_seed(config.seed, i)
+             for i in range(min(config.trials, config.dump_max))]
     arrays = {}
-    for i in range(n):
-        seed = derive_seed(config.seed, i)
-        if _runner_kind(config) == "discrete":
-            traj = disc.simulate_sgd(
-                DriftSpec("monomial", config.k, config.c, config.cap),
-                config.gamma, disc.NoiseSpec(config.noise, config.noise_bound),
-                config.x0, config.n0, config.n0 + config.steps, seed)
-            arrays[f"trial_{i}"] = traj.values
-        else:
-            grid = cont.TimeGrid(config.t0, config.horizon, config.dt)
-            traj = cont.simulate_em(runner.spec, grid,
-                                    cont.brownian_increments(grid, seed))
-            arrays[f"trial_{i}"] = traj.values
-            arrays.setdefault("times", traj.times)
+    if _runner_kind(config) == "discrete":
+        paths = disc.sgd_paths(
+            DriftSpec("monomial", config.k, config.c, config.cap),
+            config.gamma, disc.NoiseSpec(config.noise, config.noise_bound),
+            config.x0, config.n0, config.n0 + config.steps, seeds)
+    else:
+        runner, _ = _build_runner(config, config.k, config.gamma)
+        grid = cont.TimeGrid(config.t0, config.horizon, config.dt)
+        paths = cont.em_paths(runner.spec, grid, seeds)
+        arrays["times"] = grid.times()
+    arrays.update((f"trial_{i}", path) for i, path in enumerate(paths))
     np.savez_compressed(out_dir / "trajectories.npz", **arrays)
 
 

@@ -14,9 +14,9 @@ tau(t) = <G>_t; crossing probabilities between sample nodes then have the
 closed Brownian-bridge form exp(-2 a b / dtau), so the Monte Carlo hitting
 frequency is unbiased for the continuous-time event.
 
-Batched Monte Carlo runs and single-trajectory runs share one stepping
-kernel and one per-trial stream-consumption pattern, so a trial produces
-bit-identical values however the work is partitioned.
+Batched Monte Carlo runs and single trajectories are all stepped by
+rng.drive with one update, so a trial produces bit-identical values however
+the work is partitioned.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NoiseSchedule, ProcessSpec, drift_eval
-from .rng import NOISE_CHUNK, TRIAL_CAP, chunk_ranges, derive_seed, make_rng
+from .rng import (FirstViolation, NonFiniteStateError, Record, RunningMax,
+                  TailAbsMax, derive_seed, drive, make_rng)
 
 __all__ = [
     "TimeGrid",
@@ -42,18 +43,10 @@ __all__ = [
     "linear_exact_batch",
     "linear_hit_zero_mc",
     "em_batch",
+    "em_paths",
     "coupled_violations_batch",
     "EMBatchStats",
 ]
-
-
-class NonFiniteStateError(RuntimeError):
-    """EM state became NaN/inf; carries the first bad step index."""
-
-    def __init__(self, step_index: int):
-        super().__init__(f"non-finite state at step {step_index}; "
-                         "check drift cap and step size")
-        self.step_index = step_index
 
 
 @dataclass(frozen=True)
@@ -132,42 +125,41 @@ class Trajectory:
             raise ValueError("times and values must have equal length")
 
 
-def _standard_normal_chunk(rng: np.random.Generator, width: int) -> np.ndarray:
-    return rng.standard_normal(width)
-
-
 def brownian_increments(grid: TimeGrid, seed: int) -> BrownianPath:
-    """Draw the N(0, dt) increments for a grid, consuming the stream in
-    NOISE_CHUNK blocks exactly as the batched runners do."""
-    rng = make_rng(seed)
-    n = grid.n_steps
-    z = np.empty(n)
-    for a, b in chunk_ranges(n):
-        z[a:b] = _standard_normal_chunk(rng, b - a)
+    """Draw the N(0, dt) increments for a grid from the seed's stream, the
+    same draws em_batch makes for that seed."""
+    z = make_rng(seed).standard_normal(grid.n_steps)
     dw = z * np.sqrt(grid.step_sizes())
     return BrownianPath(grid=grid, increments=dw, seed=int(seed))
 
 
-def _em_chunk(drift, x, wdt, g, dw, start, trackers):
-    """Advance state vector x over one chunk of steps (columns of dw).
+def _em_coefficients(noise: NoiseSchedule, grid: TimeGrid):
+    """Per-step drift weight w*dt, noise amplitude g and sqrt(dt) along the grid."""
+    t = grid.times()
+    dt = grid.step_sizes()
+    wdt = np.asarray(noise.drift_weight(t[:-1]), dtype=float) * dt
+    g = np.asarray(noise.g(t[:-1]), dtype=float)
+    return wdt, g, np.sqrt(dt)
 
-    wdt and g are the per-step drift weights w*dt and noise amplitudes for
-    the whole grid; dw holds the Brownian increments for this chunk.  The
-    single-trajectory and batched runners both step through here, which
-    pins down one floating-point evaluation order.
-    """
-    values, max_value, tail_abs, tail_mask = trackers
-    width = dw.shape[1]
-    for i in range(width):
-        step = start + i
-        x += drift_eval(drift, x) * wdt[step] + g[step] * dw[:, i]
-        if values is not None:
-            values[:, step + 1] = x
-        if max_value is not None:
-            np.maximum(max_value, x, out=max_value)
-            if tail_mask[step + 1]:
-                np.maximum(tail_abs, np.abs(x), out=tail_abs)
-    return x
+
+def _em_drive(spec: ProcessSpec, grid: TimeGrid, observers, seeds=None,
+              increments=None) -> np.ndarray:
+    """EM states x_{i+1} = x_i + (f(x_i) w dt_i + g dW_i), one trial per
+    seed (or per row of increments), stepped by the driver."""
+    wdt, g, sqrt_dt = _em_coefficients(spec.noise, grid)
+    drift = spec.drift
+
+    def update(x, step, dw):
+        x += drift_eval(drift, x) * wdt[step] + g[step] * dw
+
+    n_trials = len(seeds) if increments is None else len(increments)
+    return drive(np.full(n_trials, float(spec.x0)), grid.n_steps, update,
+                 observers, seeds=seeds, sample=_standard_normal, scale=sqrt_dt,
+                 increments=increments)
+
+
+def _standard_normal(gen: np.random.Generator, size: int) -> np.ndarray:
+    return gen.standard_normal(size)
 
 
 def simulate_em(spec: ProcessSpec, grid: TimeGrid, path: BrownianPath) -> Trajectory:
@@ -182,23 +174,19 @@ def simulate_em(spec: ProcessSpec, grid: TimeGrid, path: BrownianPath) -> Trajec
     if grid.t0 < spec.noise.min_t0:
         raise ValueError(f"grid starts before t0 = {spec.noise.min_t0} "
                          f"allowed by schedule {spec.noise.kind!r}")
-    t = grid.times()
-    dt = grid.step_sizes()
-    wdt = np.asarray(spec.noise.drift_weight(t[:-1]), dtype=float) * dt
-    g = np.asarray(spec.noise.g(t[:-1]), dtype=float)
-    n = len(dt)
-    values = np.empty((1, n + 1))
-    x = np.array([float(spec.x0)])
-    values[:, 0] = x
-    trackers = (values, None, None, None)
-    for a, b in chunk_ranges(n):
-        dw = path.increments[a:b].reshape(1, -1)
-        x = _em_chunk(spec.drift, x, wdt, g, dw, a, trackers)
-        if not np.all(np.isfinite(x)):
-            bad = int(np.flatnonzero(~np.isfinite(values[0, :b + 1]))[0])
-            raise NonFiniteStateError(bad)
-    return Trajectory(times=t, values=values[0], seed=path.seed,
+    record = Record((1,), grid.n_steps)
+    _em_drive(spec, grid, [record], increments=path.increments.reshape(1, -1))
+    return Trajectory(times=grid.times(), values=record.value[0], seed=path.seed,
                       frame=spec.noise.frame, grid=grid)
+
+
+def em_paths(spec: ProcessSpec, grid: TimeGrid, seeds) -> np.ndarray:
+    """Every state of one EM trajectory per seed, shape (trials, n_steps + 1);
+    row i equals simulate_em on brownian_increments(grid, seeds[i])."""
+    seeds = np.asarray(list(seeds), dtype=np.uint64)
+    record = Record((len(seeds),), grid.n_steps)
+    _em_drive(spec, grid, [record], seeds=seeds)
+    return record.value
 
 
 @dataclass(eq=False)
@@ -210,72 +198,25 @@ class EMBatchStats:
     max_value: np.ndarray
     tail_abs_max: np.ndarray
     tail_start: float
-    band_entered: np.ndarray | None = None
 
 
 def em_batch(spec: ProcessSpec, grid: TimeGrid, seeds,
-             tail_start: float | None = None,
-             band: tuple[float, float] | None = None) -> EMBatchStats:
+             tail_start: float | None = None) -> EMBatchStats:
     """One EM trajectory per seed, stepped together across trials.
 
-    Each trial consumes its own generator stream exactly as
-    brownian_increments + simulate_em would, so per-seed results do not
-    depend on how trials are grouped or scheduled.
+    Each trial draws its own stream exactly as brownian_increments +
+    simulate_em would, so per-seed results do not depend on how trials are
+    grouped or scheduled.
     """
     seeds = np.asarray(list(seeds), dtype=np.uint64)
-    if len(seeds) > TRIAL_CAP:
-        parts = [em_batch(spec, grid, seeds[a:a + TRIAL_CAP], tail_start, band)
-                 for a in range(0, len(seeds), TRIAL_CAP)]
-        return EMBatchStats(
-            seeds=seeds,
-            final=np.concatenate([p.final for p in parts]),
-            max_value=np.concatenate([p.max_value for p in parts]),
-            tail_abs_max=np.concatenate([p.tail_abs_max for p in parts]),
-            tail_start=parts[0].tail_start,
-            band_entered=(None if band is None else
-                          np.concatenate([p.band_entered for p in parts])))
-    n_trials = len(seeds)
     t = grid.times()
-    dt = grid.step_sizes()
-    sqdt = np.sqrt(dt)
-    wdt = np.asarray(spec.noise.drift_weight(t[:-1]), dtype=float) * dt
-    g = np.asarray(spec.noise.g(t[:-1]), dtype=float)
     if tail_start is None:
         tail_start = float(t[0])
-    tail_mask = t >= tail_start
-
-    rngs = [make_rng(s) for s in seeds]
-    x = np.full(n_trials, float(spec.x0))
-    max_value = x.copy()
-    tail_abs = np.abs(x) if tail_mask[0] else np.zeros(n_trials)
-    tail_abs = tail_abs.copy()
-    entered = None
-    if band is not None:
-        entered = (x > band[0]) & (x < band[1])
-    n = len(dt)
-    dw = np.empty((n_trials, min(n, NOISE_CHUNK)))
-    trackers = (None, max_value, tail_abs, tail_mask)
-    for a, b in chunk_ranges(n):
-        width = b - a
-        block = dw[:, :width]
-        for j, rng in enumerate(rngs):
-            block[j] = _standard_normal_chunk(rng, width)
-        block *= sqdt[a:b]
-        if entered is None:
-            x = _em_chunk(spec.drift, x, wdt, g, block, a, trackers)
-        else:
-            for i in range(width):
-                step = a + i
-                x += drift_eval(spec.drift, x) * wdt[step] + g[step] * block[:, i]
-                np.maximum(max_value, x, out=max_value)
-                if tail_mask[step + 1]:
-                    np.maximum(tail_abs, np.abs(x), out=tail_abs)
-                entered |= (x > band[0]) & (x < band[1])
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteStateError(b)
-    return EMBatchStats(seeds=seeds, final=x, max_value=max_value,
-                        tail_abs_max=tail_abs, tail_start=float(tail_start),
-                        band_entered=entered)
+    max_value = RunningMax(len(seeds))
+    tail = TailAbsMax(len(seeds), int(np.count_nonzero(t < tail_start)))
+    final = _em_drive(spec, grid, [max_value, tail], seeds=seeds)
+    return EMBatchStats(seeds=seeds, final=final, max_value=max_value.value,
+                        tail_abs_max=tail.value, tail_start=float(tail_start))
 
 
 def simulate_coupled(spec_a: ProcessSpec, spec_b: ProcessSpec,
@@ -296,40 +237,20 @@ def coupled_violations_batch(spec_a: ProcessSpec, spec_b: ProcessSpec,
     if spec_a.noise != spec_b.noise:
         raise ValueError("coupled processes must share one noise schedule")
     seeds = np.asarray(list(seeds), dtype=np.uint64)
-    if len(seeds) > TRIAL_CAP:
-        return np.concatenate(
-            [coupled_violations_batch(spec_a, spec_b, x0_a, x0_b, grid,
-                                      seeds[a:a + TRIAL_CAP])
-             for a in range(0, len(seeds), TRIAL_CAP)])
-    n_trials = len(seeds)
-    t = grid.times()
-    dt = grid.step_sizes()
-    sqdt = np.sqrt(dt)
-    wdt = np.asarray(spec_a.noise.drift_weight(t[:-1]), dtype=float) * dt
-    g = np.asarray(spec_a.noise.g(t[:-1]), dtype=float)
-    rngs = [make_rng(s) for s in seeds]
-    xa = np.full(n_trials, float(x0_a))
-    xb = np.full(n_trials, float(x0_b))
-    first_violation = np.full(n_trials, -1, dtype=np.int64)
-    if np.any(xa < xb):
-        first_violation[xa < xb] = 0
-    n = len(dt)
-    dw = np.empty((n_trials, min(n, NOISE_CHUNK)))
-    for a, b in chunk_ranges(n):
-        width = b - a
-        block = dw[:, :width]
-        for j, rng in enumerate(rngs):
-            block[j] = _standard_normal_chunk(rng, width)
-        block *= sqdt[a:b]
-        for i in range(width):
-            step = a + i
-            noise = g[step] * block[:, i]
-            xa += drift_eval(spec_a.drift, xa) * wdt[step] + noise
-            xb += drift_eval(spec_b.drift, xb) * wdt[step] + noise
-            bad = (xa < xb) & (first_violation < 0)
-            if np.any(bad):
-                first_violation[bad] = step + 1
-    return first_violation
+    wdt, g, sqrt_dt = _em_coefficients(spec_a.noise, grid)
+    drift_a, drift_b = spec_a.drift, spec_b.drift
+
+    def update(x, step, dw):
+        noise = g[step] * dw
+        x[0] += drift_eval(drift_a, x[0]) * wdt[step] + noise
+        x[1] += drift_eval(drift_b, x[1]) * wdt[step] + noise
+
+    state = np.empty((2, len(seeds)))
+    state[0], state[1] = x0_a, x0_b
+    first = FirstViolation(len(seeds))
+    drive(state, grid.n_steps, update, [first], seeds=seeds,
+          sample=_standard_normal, scale=sqrt_dt)
+    return first.value
 
 
 def quadratic_variation(schedule: NoiseSchedule, s: float, t: float) -> float:

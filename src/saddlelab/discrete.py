@@ -24,13 +24,13 @@ and tends to 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import DriftSpec, MeanFlowFrame, drift_eval, mean_flow_h
-from .rng import NOISE_CHUNK, TRIAL_CAP, chunk_ranges, make_rng
+from .rng import Record, RunningMax, TailAbsMax, drive
+from .rng import make_rng  # noqa: F401  (bench/tracing.py wraps discrete.make_rng)
 
 __all__ = [
     "NoiseSpec",
@@ -40,6 +40,7 @@ __all__ = [
     "UrnSgdReport",
     "simulate_sgd",
     "sgd_batch",
+    "sgd_paths",
     "SgdBatchStats",
     "simulate_urn",
     "urn_final_batch",
@@ -113,6 +114,29 @@ def _effective_drift(drift: DriftSpec, x, shrink_exponent: float | None):
     return np.minimum(f, np.abs(x) ** shrink_exponent)
 
 
+def _sgd_drive(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: float,
+               n0: int, n_end: int, seeds, observers,
+               shrink_exponent: float | None) -> np.ndarray:
+    """X_{n+1} = X_n + (f(X_n)/n^gamma + Y_{n+1}/n^gamma), one trial per seed,
+    stepped by the driver; noise=None runs the noise-free recursion."""
+    if not 0.5 < gamma < 1.0:
+        raise ValueError("discrete recursion requires gamma in (1/2, 1)")
+    if not (n0 >= 1 and n_end > n0):
+        raise ValueError("need n0 >= 1 and n_end > n0")
+    steps = n_end - n0
+    inv_ng = np.arange(n0, n_end, dtype=float) ** (-gamma)
+
+    def update(x, step, y):
+        h = inv_ng[step]
+        x += _effective_drift(drift, x, shrink_exponent) * h + y * h
+
+    x = np.full(len(seeds), float(x0))
+    if noise is None:
+        return drive(x, steps, update, observers,
+                     increments=np.zeros((len(seeds), steps)))
+    return drive(x, steps, update, observers, seeds=seeds, sample=noise.sample_chunk)
+
+
 def simulate_sgd(drift: DriftSpec, gamma: float, noise: NoiseSpec | None,
                  x0: float, n0: int, n_end: int, seed: int,
                  shrink_exponent: float | None = None) -> DiscreteTrajectory:
@@ -122,33 +146,19 @@ def simulate_sgd(drift: DriftSpec, gamma: float, noise: NoiseSpec | None,
     the drift by min(f(x), |x|^p), the substitution used to realize the
     '<=' form of the recursion.
     """
-    if not 0.5 < gamma < 1.0:
-        raise ValueError("discrete recursion requires gamma in (1/2, 1)")
-    if not (n0 >= 1 and n_end > n0):
-        raise ValueError("need n0 >= 1 and n_end > n0")
-    steps = n_end - n0
-    values = np.empty(steps + 1)
-    x = float(x0)
-    values[0] = x
-    rng = make_rng(seed) if noise is not None else None
-    pos = 0
-    for a, b in chunk_ranges(steps):
-        width = b - a
-        ns = np.arange(n0 + a, n0 + b, dtype=float)
-        inv_ng = ns ** (-gamma)
-        y = (noise.sample_chunk(rng, width) if noise is not None
-             else np.zeros(width))
-        for i in range(width):
-            step = inv_ng[i]
-            fx = float(_effective_drift(drift, x, shrink_exponent))
-            # same association as the batched update: x + (f*step + y*step)
-            x = x + (fx * step + y[i] * step)
-            pos += 1
-            values[pos] = x
-        if not math.isfinite(x):
-            bad = int(np.flatnonzero(~np.isfinite(values[:pos + 1]))[0])
-            raise RuntimeError(f"non-finite state at index n = {n0 + bad}")
-    return DiscreteTrajectory(n0=n0, values=values, seed=int(seed))
+    values = sgd_paths(drift, gamma, noise, x0, n0, n_end, [seed], shrink_exponent)
+    return DiscreteTrajectory(n0=n0, values=values[0], seed=int(seed))
+
+
+def sgd_paths(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: float,
+              n0: int, n_end: int, seeds,
+              shrink_exponent: float | None = None) -> np.ndarray:
+    """States X_{n0..n_end} of one recursion per seed, shape
+    (trials, n_end - n0 + 1); row i equals simulate_sgd at seeds[i]."""
+    seeds = np.asarray(list(seeds), dtype=np.uint64)
+    record = Record((len(seeds),), n_end - n0)
+    _sgd_drive(drift, gamma, noise, x0, n0, n_end, seeds, [record], shrink_exponent)
+    return record.value
 
 
 @dataclass(eq=False)
@@ -164,48 +174,17 @@ def sgd_batch(drift: DriftSpec, gamma: float, noise: NoiseSpec, x0: float,
               n0: int, n_end: int, seeds,
               tail_from: int | None = None,
               shrink_exponent: float | None = None) -> SgdBatchStats:
-    """One recursion per seed, stepped together; per-seed streams match
-    simulate_sgd exactly (same chunked consumption)."""
-    if not 0.5 < gamma < 1.0:
-        raise ValueError("discrete recursion requires gamma in (1/2, 1)")
+    """One recursion per seed, stepped together; per-seed results match
+    simulate_sgd exactly."""
     seeds = np.asarray(list(seeds), dtype=np.uint64)
-    if len(seeds) > TRIAL_CAP:
-        parts = [sgd_batch(drift, gamma, noise, x0, n0, n_end,
-                           seeds[a:a + TRIAL_CAP], tail_from, shrink_exponent)
-                 for a in range(0, len(seeds), TRIAL_CAP)]
-        return SgdBatchStats(
-            seeds=seeds,
-            final=np.concatenate([p.final for p in parts]),
-            max_value=np.concatenate([p.max_value for p in parts]),
-            tail_abs_max=np.concatenate([p.tail_abs_max for p in parts]),
-            tail_from=parts[0].tail_from)
-    n_trials = len(seeds)
-    steps = n_end - n0
     if tail_from is None:
         tail_from = n0
-    rngs = [make_rng(s) for s in seeds]
-    x = np.full(n_trials, float(x0))
-    max_value = x.copy()
-    tail_abs = np.abs(x) if n0 >= tail_from else np.zeros(n_trials)
-    tail_abs = tail_abs.copy()
-    y = np.empty((n_trials, min(steps, NOISE_CHUNK)))
-    for a, b in chunk_ranges(steps):
-        width = b - a
-        block = y[:, :width]
-        for j, rng in enumerate(rngs):
-            block[j] = noise.sample_chunk(rng, width)
-        ns = np.arange(n0 + a, n0 + b, dtype=float)
-        inv_ng = ns ** (-gamma)
-        for i in range(width):
-            step = inv_ng[i]
-            x += _effective_drift(drift, x, shrink_exponent) * step + block[:, i] * step
-            np.maximum(max_value, x, out=max_value)
-            if n0 + a + i + 1 >= tail_from:
-                np.maximum(tail_abs, np.abs(x), out=tail_abs)
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError(f"non-finite state before index n = {n0 + b}")
-    return SgdBatchStats(seeds=seeds, final=x, max_value=max_value,
-                         tail_abs_max=tail_abs, tail_from=int(tail_from))
+    max_value = RunningMax(len(seeds))
+    tail = TailAbsMax(len(seeds), tail_from - n0)
+    final = _sgd_drive(drift, gamma, noise, x0, n0, n_end, seeds,
+                       [max_value, tail], shrink_exponent)
+    return SgdBatchStats(seeds=seeds, final=final, max_value=max_value.value,
+                         tail_abs_max=tail.value, tail_from=int(tail_from))
 
 
 @dataclass(frozen=True)
@@ -267,62 +246,46 @@ class UrnRun:
     noise_part: np.ndarray
 
 
+def _uniform(gen: np.random.Generator, size: int) -> np.ndarray:
+    return gen.random(size)
+
+
+def _urn_red_counts(spec: UrnSpec, n_end: int, seeds, observers=()) -> np.ndarray:
+    """Red-ball counts after n_end - total0 draws, one urn per seed; a
+    uniform u adds a red ball when u < f(red/total)."""
+    n0 = spec.total0
+    if n_end < n0:
+        raise ValueError("n_end is below the starting ball count")
+
+    def update(red, step, u):
+        red += u < spec.f(red / float(n0 + step))
+
+    return drive(np.full(len(seeds), float(spec.red0)), n_end - n0, update,
+                 observers, seeds=seeds, sample=_uniform)
+
+
 def simulate_urn(spec: UrnSpec, n_end: int, seed: int) -> UrnRun:
     """Exact urn dynamics on integer ball counts, deterministic in seed."""
     n0 = spec.total0
     if not n_end > n0:
         raise ValueError("n_end must exceed the starting ball count")
-    steps = n_end - n0
-    values = np.empty(steps + 1)
-    drift_part = np.empty(steps)
-    noise_part = np.empty(steps)
-    red = spec.red0
-    total = spec.total0
-    values[0] = red / total
-    rng = make_rng(seed)
-    pos = 0
-    for a, b in chunk_ranges(steps):
-        u = rng.random(b - a)
-        for i in range(b - a):
-            x = red / total
-            fx = float(spec.f(x))
-            add_red = u[i] < fx
-            g = (1.0 - fx) if add_red else -fx
-            drift_part[pos] = (fx - x) / (total + 1)
-            noise_part[pos] = g / (total + 1)
-            if add_red:
-                red += 1
-            total += 1
-            pos += 1
-            values[pos] = red / total
+    record = Record((1,), n_end - n0)
+    _urn_red_counts(spec, n_end, [seed], [record])
+    red = record.value[0]
+    total = np.arange(n0, n_end + 1, dtype=float)
+    values = red / total
+    fx = np.asarray(spec.f(values[:-1]), dtype=float)
+    g = np.where(np.diff(red) > 0, 1.0 - fx, -fx)
     traj = DiscreteTrajectory(n0=n0, values=values, seed=int(seed))
     return UrnRun(spec=spec, trajectory=traj,
-                  drift_part=drift_part, noise_part=noise_part)
+                  drift_part=(fx - values[:-1]) / (total[:-1] + 1),
+                  noise_part=g / (total[:-1] + 1))
 
 
 def urn_final_batch(spec: UrnSpec, n_end: int, seeds) -> np.ndarray:
     """Final urn fractions for many seeds; streams match simulate_urn."""
     seeds = np.asarray(list(seeds), dtype=np.uint64)
-    if len(seeds) > TRIAL_CAP:
-        return np.concatenate(
-            [urn_final_batch(spec, n_end, seeds[a:a + TRIAL_CAP])
-             for a in range(0, len(seeds), TRIAL_CAP)])
-    n_trials = len(seeds)
-    rngs = [make_rng(s) for s in seeds]
-    red = np.full(n_trials, float(spec.red0))
-    total = float(spec.total0)
-    steps = n_end - spec.total0
-    u = np.empty((n_trials, min(steps, NOISE_CHUNK)))
-    for a, b in chunk_ranges(steps):
-        width = b - a
-        block = u[:, :width]
-        for j, rng in enumerate(rngs):
-            block[j] = rng.random(width)
-        for i in range(width):
-            x = red / total
-            red += (block[:, i] < spec.f(x)).astype(float)
-            total += 1.0
-    return red / total
+    return _urn_red_counts(spec, n_end, seeds) / float(n_end)
 
 
 @dataclass(eq=False)
@@ -345,32 +308,26 @@ def urn_as_sgd_check(spec: UrnSpec, n_end: int, seed: int,
     X' += (f(X') - X')/(n+1) + g_n/(n+1) and compare pathwise."""
     n0 = spec.total0
     steps = n_end - n0
-    rng = make_rng(seed)
-    red = spec.red0
-    total = spec.total0
-    x_dec = red / total
-    max_gap = 0.0
-    first_div = None
-    pos = 0
-    for a, b in chunk_ranges(steps):
-        u = rng.random(b - a)
-        for i in range(b - a):
-            x_urn = red / total
-            fx_dec = float(spec.f(x_dec))
-            add_red = u[i] < fx_dec
-            g = (1.0 - fx_dec) if add_red else -fx_dec
-            x_dec = x_dec + (fx_dec - x_dec) / (total + 1) + g / (total + 1)
-            if add_red:
-                red += 1
-            total += 1
-            pos += 1
-            gap = abs(red / total - x_dec)
-            if gap > max_gap:
-                max_gap = gap
-            if first_div is None and gap > tolerance:
-                first_div = n0 + pos
-    return UrnSgdReport(n_steps=steps, max_abs_gap=max_gap,
-                        first_divergence=first_div, tolerance=tolerance)
+
+    def update(state, step, u):
+        # row 0: red-ball count; row 1: the decomposed recursion X'
+        total = n0 + step
+        x_dec = state[1]
+        fx = spec.f(x_dec)
+        add_red = u < fx
+        g = np.where(add_red, 1.0 - fx, -fx)
+        state[1] = x_dec + (fx - x_dec) / (total + 1) + g / (total + 1)
+        state[0] += add_red
+
+    record = Record((2, 1), steps)
+    drive(np.array([[float(spec.red0)], [spec.red0 / n0]]), steps, update,
+          [record], seeds=[seed], sample=_uniform)
+    red, x_dec = record.value[:, 0, 1:]
+    gap = np.abs(red / np.arange(n0 + 1, n_end + 1) - x_dec)
+    over = np.flatnonzero(gap > tolerance)
+    return UrnSgdReport(n_steps=steps, max_abs_gap=float(gap.max(initial=0.0)),
+                        first_divergence=int(n0 + 1 + over[0]) if len(over) else None,
+                        tolerance=tolerance)
 
 
 def step_correction(frame: MeanFlowFrame, n) -> np.ndarray:

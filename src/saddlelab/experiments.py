@@ -30,7 +30,7 @@ from . import continuous as cont
 from . import discrete as disc
 from .analysis import (ClassifierConfig, MCResult, PhaseCell, classify_stats,
                        estimate_probability)
-from .model import DriftSpec, NoiseSchedule, ProcessSpec
+from .model import DriftSpec, NoiseSchedule, ProcessSpec, predict_regime
 from .rng import derive_seed
 
 __all__ = [
@@ -38,8 +38,7 @@ __all__ = [
     "linear_classifier",
     "monomial_classifier",
     "discrete_classifier",
-    "LinearDichotomyRunner",
-    "MonomialDichotomyRunner",
+    "ContinuousDichotomyRunner",
     "DiscreteDichotomyRunner",
     "run_dichotomy",
     "run_urn_experiment",
@@ -94,50 +93,19 @@ def discrete_classifier(k: float, gamma: float, n0: int, n_end: int,
 
 
 @dataclass(frozen=True)
-class LinearDichotomyRunner:
-    k: float
-    x0: float
-    t0: float
+class ContinuousDichotomyRunner:
+    """EM trials of one SDE instance, classified from their running stats."""
+
+    spec: ProcessSpec
     t_end: float
     dt: float
     cfg: ClassifierConfig
 
-    @property
-    def spec(self) -> ProcessSpec:
-        return ProcessSpec(DriftSpec("linear", self.k), NoiseSchedule("exp_half"),
-                           t0=self.t0, x0=self.x0)
-
     def __call__(self, seeds):
-        grid = cont.TimeGrid(self.t0, self.t_end, self.dt)
+        t0 = self.spec.t0
+        grid = cont.TimeGrid(t0, self.t_end, self.dt)
         stats = cont.em_batch(self.spec, grid, seeds,
-                              tail_start=self.cfg.tail_start(self.t0, self.t_end))
-        return classify_stats(stats.max_value, stats.tail_abs_max, self.cfg)
-
-
-@dataclass(frozen=True)
-class MonomialDichotomyRunner:
-    k: float
-    gamma: float
-    c: float
-    cap: float
-    x0: float
-    t0: float
-    t_end: float
-    dt: float
-    cfg: ClassifierConfig
-    raw_frame: bool = False
-
-    @property
-    def spec(self) -> ProcessSpec:
-        schedule = (NoiseSchedule("power_gamma", self.gamma) if self.raw_frame
-                    else NoiseSchedule("power_transformed", self.gamma))
-        return ProcessSpec(DriftSpec("monomial", self.k, self.c, self.cap),
-                           schedule, t0=self.t0, x0=self.x0)
-
-    def __call__(self, seeds):
-        grid = cont.TimeGrid(self.t0, self.t_end, self.dt)
-        stats = cont.em_batch(self.spec, grid, seeds,
-                              tail_start=self.cfg.tail_start(self.t0, self.t_end))
+                              tail_start=self.cfg.tail_start(t0, self.t_end))
         return classify_stats(stats.max_value, stats.tail_abs_max, self.cfg)
 
 
@@ -157,10 +125,11 @@ class DiscreteDichotomyRunner:
     def __call__(self, seeds):
         drift = DriftSpec("monomial", self.k, self.c, self.cap)
         noise = disc.NoiseSpec(self.noise_family, self.noise_bound)
-        tail_from = self.n0 + (1.0 - self.cfg.tail_fraction) * (self.n_end - self.n0)
+        # on integer times n >= v exactly when n >= ceil(v), as classify() tests
+        tail_from = self.cfg.tail_start(self.n0, self.n_end)
         stats = disc.sgd_batch(drift, self.gamma, noise, self.x0,
                                self.n0, self.n_end, seeds,
-                               tail_from=int(tail_from))
+                               tail_from=math.ceil(tail_from))
         return classify_stats(stats.max_value, stats.tail_abs_max, self.cfg)
 
 
@@ -248,22 +217,7 @@ def _runner_kind(config: ExperimentConfig) -> str:
 
 def _build_runner(config: ExperimentConfig, k: float, gamma: float):
     kind = _runner_kind(config)
-    if kind == "linear":
-        cfg = linear_classifier(k, config.x0, config.t0, config.horizon,
-                                config.tail_fraction, config.eps_conv,
-                                config.barrier)
-        runner = LinearDichotomyRunner(k=k, x0=config.x0, t0=config.t0,
-                                       t_end=config.horizon, dt=config.dt, cfg=cfg)
-    elif kind == "monomial":
-        cfg = monomial_classifier(k, config.t0, config.horizon,
-                                  config.tail_fraction, config.eps_conv,
-                                  config.barrier)
-        runner = MonomialDichotomyRunner(k=k, gamma=gamma, c=config.c,
-                                         cap=config.cap, x0=config.x0,
-                                         t0=config.t0, t_end=config.horizon,
-                                         dt=config.dt, cfg=cfg,
-                                         raw_frame=config.raw_frame)
-    else:
+    if kind == "discrete":
         n_end = config.n0 + config.steps
         cfg = discrete_classifier(k, gamma, config.n0, n_end,
                                   config.tail_fraction, config.eps_conv,
@@ -274,6 +228,23 @@ def _build_runner(config: ExperimentConfig, k: float, gamma: float):
                                          noise_bound=config.noise_bound,
                                          x0=config.x0, n0=config.n0,
                                          n_end=n_end, cfg=cfg)
+        return runner, cfg
+    if kind == "linear":
+        cfg = linear_classifier(k, config.x0, config.t0, config.horizon,
+                                config.tail_fraction, config.eps_conv,
+                                config.barrier)
+        spec = ProcessSpec(DriftSpec("linear", k), NoiseSchedule("exp_half"),
+                           t0=config.t0, x0=config.x0)
+    else:
+        cfg = monomial_classifier(k, config.t0, config.horizon,
+                                  config.tail_fraction, config.eps_conv,
+                                  config.barrier)
+        schedule = NoiseSchedule("power_gamma" if config.raw_frame
+                                 else "power_transformed", gamma)
+        spec = ProcessSpec(DriftSpec("monomial", k, config.c, config.cap),
+                           schedule, t0=config.t0, x0=config.x0)
+    runner = ContinuousDichotomyRunner(spec=spec, t_end=config.horizon,
+                                       dt=config.dt, cfg=cfg)
     return runner, cfg
 
 
@@ -314,12 +285,7 @@ def run_dichotomy(config: ExperimentConfig, k: float | None = None,
                "trials": config.trials}
     result = estimate_probability(runner, config.trials, base_seed,
                                   jobs=config.jobs, payload=payload)
-    kind = _runner_kind(config)
-    if kind == "linear":
-        prediction = "nonconvergence" if k >= 0.5 else "convergence"
-        boundary = abs(k - 0.5) <= 0.01
-    else:
-        prediction, boundary = PhaseCell.predict(k, gamma, kind == "discrete")
+    prediction, boundary = predict_regime(_runner_kind(config), k, gamma)
     return DichotomyOutput(config=config, classifier=cfg, result=result,
                            k=k, gamma=gamma, prediction=prediction,
                            boundary=boundary)
@@ -332,7 +298,6 @@ def phase_sweep(config: ExperimentConfig) -> list[PhaseCell]:
     reproducible cell-by-cell and independent of worker count.
     """
     cells = []
-    discrete_model = config.model == "discrete"
     sweep_cfg = dataclasses.replace(config, kind="sweep")
     index = 0
     for k in config.k_values:

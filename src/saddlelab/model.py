@@ -19,7 +19,6 @@ converges to the origin with positive probability.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,7 @@ __all__ = [
     "mean_flow_h",
     "z_coordinate",
     "gamma_threshold",
+    "predict_regime",
 ]
 
 LINEAR = "linear"
@@ -114,8 +114,6 @@ class NoiseSchedule:
                              "(gamma = 1 uses the exponential clock)")
 
     def g(self, t):
-        import numpy as np
-
         if self.kind == POWER_GAMMA:
             return np.asarray(t, dtype=float) ** (-self.gamma)
         if self.kind == EXP_HALF:
@@ -124,8 +122,6 @@ class NoiseSchedule:
         return np.asarray(t, dtype=float) ** expo
 
     def drift_weight(self, t):
-        import numpy as np
-
         if self.kind == POWER_GAMMA:
             return np.asarray(t, dtype=float) ** (-self.gamma)
         return np.ones_like(np.asarray(t, dtype=float))
@@ -244,19 +240,23 @@ def gamma_threshold(k: float) -> float:
     return 0.5 + 0.5 / k
 
 
-def gamma_in_nonconvergent_region(k: float, gamma: float, discrete: bool = False) -> bool:
-    """Regime prediction: escape is almost sure at or below the threshold.
+BOUNDARY_BAND = 0.02  # |gamma - threshold| <= band: reported, never gates acceptance
 
-    The continuous statements cover equality (gamma <= threshold escapes);
-    the discrete ones are strict, so equality is left to the convergent side
-    there.  Cells near equality should be treated as boundary cases anyway.
+
+def predict_regime(model: str, k: float, gamma: float) -> tuple[str, bool]:
+    """Predicted regime ("nonconvergence" or "convergence") and whether the
+    cell lies on the boundary, for model "linear", "monomial" or "discrete".
+
+    The linear drift k|x| on the exponential clock escapes almost surely
+    for k >= 1/2.  Otherwise escape is almost sure at or below the
+    threshold gamma_tilde(k); the continuous statements cover equality, the
+    discrete ones are strict, so equality is left to the convergent side
+    there.
     """
-    tilde = gamma_threshold(k)
-    if discrete:
-        return gamma < tilde
-    return gamma <= tilde
-
-
-def exp_decay_remaining_std(k: float, s: float) -> float:
-    """Std dev of int_s^inf e^{-u(k+1/2)} dB_u, i.e. sqrt(e^{-s(2k+1)}/(2k+1))."""
-    return math.sqrt(math.exp(-s * (2.0 * k + 1.0)) / (2.0 * k + 1.0))
+    if model == LINEAR:
+        escapes, boundary = k >= 0.5, abs(k - 0.5) <= 0.01
+    else:
+        tilde = gamma_threshold(k)
+        escapes = gamma < tilde if model == "discrete" else gamma <= tilde
+        boundary = abs(gamma - tilde) <= BOUNDARY_BAND
+    return ("nonconvergence" if escapes else "convergence"), boundary

@@ -4,15 +4,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from saddlelab.analysis import (ClassifierConfig, MCResult, Outcome, PhaseCell,
-                                classify, classify_stats, estimate_probability,
+from saddlelab.analysis import (ClassifierConfig, MCResult, Outcome, classify,
+                                classify_stats, estimate_probability,
                                 moment_compare, never_return_alpha,
                                 remaining_variance, verify_dominance,
                                 wilson_interval)
 from saddlelab.continuous import (BrownianPath, TimeGrid, Trajectory,
                                   brownian_increments, linear_exact_batch,
                                   em_batch, simulate_coupled, simulate_em)
-from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
+from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec, predict_regime
 from saddlelab.rng import derive_seed, make_rng
 
 CFG = ClassifierConfig(eps_conv=0.05, barrier=3.0, tail_fraction=0.2)
@@ -298,20 +298,20 @@ class TestVerifyDominance:
 
 class TestPhasePrediction:
     def test_flip_at_threshold_k2(self):
-        assert PhaseCell.predict(2.0, 0.74, discrete=False)[0] == "nonconvergence"
-        assert PhaseCell.predict(2.0, 0.76, discrete=False)[0] == "convergence"
+        assert predict_regime("monomial", 2.0, 0.74)[0] == "nonconvergence"
+        assert predict_regime("monomial", 2.0, 0.76)[0] == "convergence"
         # continuous convention covers equality on the escape side
-        assert PhaseCell.predict(2.0, 0.75, discrete=False)[0] == "nonconvergence"
+        assert predict_regime("monomial", 2.0, 0.75)[0] == "nonconvergence"
         # discrete statements are strict at the threshold
-        assert PhaseCell.predict(2.0, 0.75, discrete=True)[0] == "convergence"
+        assert predict_regime("discrete", 2.0, 0.75)[0] == "convergence"
 
     def test_flip_at_threshold_k3(self):
         tilde = 2.0 / 3.0
-        assert PhaseCell.predict(3.0, tilde - 0.05, discrete=False)[0] == \
+        assert predict_regime("monomial", 3.0, tilde - 0.05)[0] == \
             "nonconvergence"
-        assert PhaseCell.predict(3.0, tilde + 0.05, discrete=False)[0] == \
+        assert predict_regime("monomial", 3.0, tilde + 0.05)[0] == \
             "convergence"
 
     def test_boundary_band(self):
-        assert PhaseCell.predict(2.0, 0.755, discrete=False)[1]
-        assert not PhaseCell.predict(2.0, 0.9, discrete=False)[1]
+        assert predict_regime("monomial", 2.0, 0.755)[1]
+        assert not predict_regime("monomial", 2.0, 0.9)[1]

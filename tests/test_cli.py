@@ -116,6 +116,34 @@ class TestSimulateCommand:
         assert rc == 0
         assert len(read_csv(tmp_path / "simulate_results.csv")) == 2
 
+    def test_dumped_paths_are_the_single_paths(self, tmp_path):
+        import numpy as np
+
+        from saddlelab.continuous import TimeGrid, brownian_increments, simulate_em
+        from saddlelab.discrete import NoiseSpec, simulate_sgd
+        from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
+        from saddlelab.rng import derive_seed
+
+        common = ["--k", "3", "--gamma", "0.7", "--trials", "3", "--seed", "4",
+                  "--jobs", "1", "--dump-trajectories"]
+        assert main(["simulate", "--model", "discrete", "--steps", "300",
+                     "--out", str(tmp_path / "d"), *common]) == 0
+        assert main(["simulate", "--horizon", "3", "--dt", "0.01",
+                     "--out", str(tmp_path / "c"), *common]) == 0
+        spec = ProcessSpec(DriftSpec("monomial", 3.0),
+                           NoiseSchedule("power_transformed", 0.7), t0=1.0, x0=-0.2)
+        grid = TimeGrid(1.0, 3.0, 0.01)
+        with np.load(tmp_path / "d" / "trajectories.npz") as disc, \
+                np.load(tmp_path / "c" / "trajectories.npz") as cont:
+            assert np.array_equal(cont["times"], grid.times())
+            for i in range(3):
+                seed = derive_seed(4, i)
+                single = simulate_sgd(DriftSpec("monomial", 3.0), 0.7,
+                                      NoiseSpec("rademacher"), -0.2, 10, 310, seed)
+                assert np.array_equal(disc[f"trial_{i}"], single.values)
+                traj = simulate_em(spec, grid, brownian_increments(grid, seed))
+                assert np.array_equal(cont[f"trial_{i}"], traj.values)
+
     def test_continuous_linear(self, tmp_path):
         rc = main(["simulate", "--model", "continuous", "--family", "linear",
                    "--k", "0.8", "--x0", "-0.1", "--t0", "0.0",

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from saddlelab.continuous import (BrownianPath, NonFiniteStateError, TimeGrid,
-                                  brownian_increments, coupled_violations_batch,
-                                  em_batch, gaussian_clock, linear_exact_batch,
+                                  _em_drive, brownian_increments,
+                                  coupled_violations_batch, em_batch,
+                                  gaussian_clock, linear_exact_batch,
                                   linear_hit_zero_mc, quadratic_variation,
                                   simulate_coupled, simulate_em,
                                   simulate_linear_exact)
@@ -21,6 +22,43 @@ def linear_spec(k, x0, t0=0.0):
 
 def monomial_spec(k, x0, schedule=EXP, t0=0.0, c=1.0, cap=10.0):
     return ProcessSpec(DriftSpec("monomial", k, c, cap), schedule, t0=t0, x0=x0)
+
+
+def linear_em_reference(spec, grid, dw):
+    """Plain-Python EM for a linear drift: x + (k|x| w dt + g dW) per step."""
+    t = grid.times()[:-1]
+    wdt = spec.noise.drift_weight(t) * grid.step_sizes()
+    g = spec.noise.g(t)
+    x = spec.x0
+    values = [x]
+    for i in range(grid.n_steps):
+        x = x + (spec.drift.k * abs(x) * float(wdt[i]) + float(g[i]) * float(dw[i]))
+        values.append(x)
+    return values
+
+
+def first_bad_step(run, *args):
+    """The step a NonFiniteStateError names, or None if run finishes."""
+    try:
+        run(*args)
+    except NonFiniteStateError as err:
+        return err.step_index
+    return None
+
+
+class BandEntered:
+    """Driver observer: has the state ever lain strictly inside (lo, hi)?"""
+
+    def __init__(self, n_trials, lo, hi):
+        self.value = np.zeros(n_trials, dtype=bool)
+        self.lo, self.hi = lo, hi
+
+    def begin(self, x, part):
+        self._view = self.value[part]
+        self.step(x, 0)
+
+    def step(self, x, index):
+        self._view |= (x > self.lo) & (x < self.hi)
 
 
 class TestTimeGrid:
@@ -123,6 +161,34 @@ class TestEulerMaruyama:
             simulate_em(spec, grid, BrownianPath.zeros(grid))
         assert err.value.step_index >= 1
 
+    @pytest.mark.parametrize("schedule, t0", [(EXP, 0.0),
+                                              (NoiseSchedule("power_gamma", 0.8), 1.0)],
+                             ids=["exp_half", "power_gamma"])
+    def test_linear_step_matches_plain_python(self, schedule, t0):
+        # k|x| uses only * and +, so scalar and array arithmetic agree bit for bit
+        spec = ProcessSpec(DriftSpec("linear", 0.8), schedule, t0=t0, x0=-0.3)
+        grid = TimeGrid(t0, t0 + 3.0, 1e-3)
+        path = brownian_increments(grid, 14)
+        traj = simulate_em(spec, grid, path)
+        assert traj.values.tolist() == linear_em_reference(spec, grid, path.increments)
+
+    def test_non_finite_step_same_in_batch_and_single(self):
+        # k dt = 10: |x| grows about elevenfold a step until it overflows,
+        # a step or two sooner or later depending on the first increment
+        spec = linear_spec(1000.0, 0.0)
+        grid = TimeGrid(0.0, 5.0, 1e-2)
+        seeds = [derive_seed(62, i) for i in range(8)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            paths = [brownian_increments(grid, s) for s in seeds]
+            single = [first_bad_step(simulate_em, spec, grid, p) for p in paths]
+            width_one = [first_bad_step(em_batch, spec, grid, [s]) for s in seeds]
+            batch = first_bad_step(em_batch, spec, grid, seeds)
+            reference = [linear_em_reference(spec, grid, p.increments) for p in paths]
+        assert single == width_one
+        assert single == [int(np.flatnonzero(~np.isfinite(r))[0]) for r in reference]
+        assert len(set(single)) > 1
+        assert batch == min(single)
+
     def test_batch_matches_single_bit_exact(self):
         grid = TimeGrid(0.0, 2.0, 1e-3)
         spec = monomial_spec(2.0, -0.2)
@@ -143,9 +209,9 @@ class TestEulerMaruyama:
                              t0=1.0)
         grid = TimeGrid(1.0, 50.0, 1e-2)
         seeds = [derive_seed(321, i) for i in range(10_000)]
-        stats = em_batch(spec, grid, seeds, band=(0.4, 0.6))
-        assert stats.band_entered is not None
-        assert stats.band_entered.mean() > 0.0
+        band = BandEntered(len(seeds), 0.4, 0.6)
+        _em_drive(spec, grid, [band], seeds=seeds)
+        assert band.value.mean() > 0.0
 
 
 class TestCoupling:

@@ -3,12 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from saddlelab.discrete import (NoiseSpec, sgd_batch, simulate_sgd,
+from saddlelab.discrete import (NoiseSpec, sgd_batch, sgd_paths, simulate_sgd,
                                 step_correction, z_diagnostics)
 from saddlelab.model import DriftSpec, MeanFlowFrame, mean_flow_h
-from saddlelab.rng import NOISE_CHUNK, chunk_ranges, derive_seed, make_rng
+from saddlelab.rng import (NOISE_CHUNK, NonFiniteStateError, chunk_ranges,
+                           derive_seed, make_rng)
 
 MONO = DriftSpec("monomial", 2.0, 1.0, 10.0)
+
+
+def first_bad_step(run, *args):
+    """The step a NonFiniteStateError names, or None if run finishes."""
+    try:
+        run(*args)
+    except NonFiniteStateError as err:
+        return err.step_index
+    return None
 
 
 class TestNoiseSpec:
@@ -97,6 +107,43 @@ class TestSgdRecursion:
             assert traj.values.max() == stats.max_value[i]
             tail = np.abs(traj.values[traj.times >= 20_000]).max()
             assert tail == stats.tail_abs_max[i]
+
+    def test_batch_matches_single_bit_exact_cubic(self):
+        # at k = 3 numpy's scalar and array power differ in the last bit on
+        # about 5 % of evaluations; seed (801, 33) is a path where that shows
+        drift = DriftSpec("monomial", 3.0, 1.0, 10.0)
+        noise = NoiseSpec("rademacher", 1.0)
+        seeds = [derive_seed(801, i) for i in range(31, 36)]
+        stats = sgd_batch(drift, 0.7, noise, -0.2, 10, 20_010, seeds,
+                          tail_from=16_010)
+        paths = sgd_paths(drift, 0.7, noise, -0.2, 10, 20_010, seeds)
+        for i, s in enumerate(seeds):
+            traj = simulate_sgd(drift, 0.7, noise, -0.2, 10, 20_010, s)
+            assert np.array_equal(traj.values, paths[i])
+            assert traj.values[-1] == stats.final[i]
+            assert traj.values.max() == stats.max_value[i]
+            tail = np.abs(traj.values[traj.times >= 16_010]).max()
+            assert tail == stats.tail_abs_max[i]
+
+    def test_non_finite_step_same_in_batch_and_single(self):
+        # uncapped cubic drift overflows, at a step that depends on the noise
+        drift = DriftSpec("monomial", 3.0, 1.0, math.inf)
+        noise = NoiseSpec("rademacher", 1.0)
+        seeds = [derive_seed(62, i) for i in range(8)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            single = [first_bad_step(simulate_sgd, drift, 0.7, noise, 0.0, 10, 400, s)
+                      for s in seeds]
+            width_one = [first_bad_step(sgd_batch, drift, 0.7, noise, 0.0, 10, 400, [s])
+                         for s in seeds]
+            batch = first_bad_step(sgd_batch, drift, 0.7, noise, 0.0, 10, 400, seeds)
+            for s, step in zip(seeds, single):
+                if step is not None:   # finite up to the step before
+                    before = simulate_sgd(drift, 0.7, noise, 0.0, 10, 10 + step - 1, s)
+                    assert np.isfinite(before.values).all()
+        assert single == width_one
+        bad = [step for step in single if step is not None]
+        assert len(set(bad)) > 1
+        assert batch == min(bad)
 
     def test_shrink_option_bounds_drift(self):
         # min(f, |x|^p) can only slow the climb

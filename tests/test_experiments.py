@@ -2,11 +2,14 @@ import math
 
 import pytest
 
-from saddlelab.analysis import Outcome
-from saddlelab.experiments import (DiscreteDichotomyRunner, ExperimentConfig,
-                                   LinearDichotomyRunner, discrete_classifier,
-                                   linear_classifier, monomial_classifier,
-                                   phase_sweep, run_dichotomy)
+from saddlelab.analysis import ClassifierConfig, Outcome, classify
+from saddlelab.discrete import NoiseSpec, simulate_sgd
+from saddlelab.experiments import (ContinuousDichotomyRunner,
+                                   DiscreteDichotomyRunner, ExperimentConfig,
+                                   discrete_classifier, linear_classifier,
+                                   monomial_classifier, phase_sweep,
+                                   run_dichotomy)
+from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
 from saddlelab.rng import derive_seed
 
 
@@ -89,8 +92,9 @@ class TestHypothesisValidation:
 class TestRunners:
     def test_linear_runner_outcomes(self):
         cfg = linear_classifier(0.8, -0.1, 0.0, 4.0)
-        runner = LinearDichotomyRunner(k=0.8, x0=-0.1, t0=0.0, t_end=4.0,
-                                       dt=1e-2, cfg=cfg)
+        spec = ProcessSpec(DriftSpec("linear", 0.8), NoiseSchedule("exp_half"),
+                           t0=0.0, x0=-0.1)
+        runner = ContinuousDichotomyRunner(spec=spec, t_end=4.0, dt=1e-2, cfg=cfg)
         outcomes = runner([derive_seed(1, i) for i in range(16)])
         assert len(outcomes) == 16
         assert all(isinstance(oc, Outcome) for oc in outcomes)
@@ -103,6 +107,22 @@ class TestRunners:
                                          n_end=2010, cfg=cfg)
         outcomes = runner([derive_seed(2, i) for i in range(8)])
         assert len(outcomes) == 8
+
+    def test_discrete_runner_agrees_with_classify(self):
+        # the tail starts at n = 15.6: it holds the states at n = 16 and 17,
+        # not the one at n = 15
+        cfg = ClassifierConfig(eps_conv=0.19, barrier=3.0, tail_fraction=0.2)
+        runner = DiscreteDichotomyRunner(k=2.0, gamma=0.9, c=1.0, cap=10.0,
+                                         noise_family="uniform_centered",
+                                         noise_bound=0.05, x0=-0.2, n0=10,
+                                         n_end=17, cfg=cfg)
+        seeds = [derive_seed(0, i) for i in range(400)]
+        drift = DriftSpec("monomial", 2.0, 1.0, 10.0)
+        noise = NoiseSpec("uniform_centered", 0.05)
+        single = [classify(simulate_sgd(drift, 0.9, noise, -0.2, 10, 17, s), cfg)
+                  for s in seeds]
+        assert runner(seeds) == single
+        assert Outcome.CONVERGED in single and Outcome.UNDECIDED in single
 
     def test_run_dichotomy_reproducible(self):
         config = ExperimentConfig(kind="monomial-dichotomy", k=2.0, gamma=0.9,
