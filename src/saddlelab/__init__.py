@@ -3,8 +3,8 @@ near degenerate saddle points."""
 
 __version__ = "0.1.0"
 
-from .analysis import (ClassifierConfig, MCResult, Outcome, PhaseCell,
-                       classify, estimate_probability, moment_compare,
+from .analysis import (ClassifierConfig, MCResult, Outcome, classify,
+                       estimate_probability, moment_compare,
                        never_return_alpha, remaining_variance,
                        verify_dominance, wilson_interval)
 from .continuous import (BrownianPath, TimeGrid, Trajectory,

@@ -31,7 +31,6 @@ __all__ = [
     "Outcome",
     "ClassifierConfig",
     "MCResult",
-    "PhaseCell",
     "classify",
     "classify_stats",
     "wilson_interval",
@@ -295,14 +294,3 @@ def verify_dominance(traj_a, traj_b, drift_a=None, drift_b=None,
                            max_shortfall=shortfall, lipschitz_bound=lip,
                            step_lipschitz=step_lip,
                            monotone_precondition_ok=precondition)
-
-
-@dataclass(eq=True)
-class PhaseCell:
-    """One (k, gamma) grid point: regime prediction plus its Monte Carlo result."""
-
-    k: float
-    gamma: float
-    prediction: str            # "nonconvergence" | "convergence"
-    boundary: bool
-    result: MCResult

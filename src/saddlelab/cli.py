@@ -26,10 +26,10 @@ from . import __version__
 from . import continuous as cont
 from . import discrete as disc
 from .analysis import Outcome
-from .experiments import (ExperimentConfig, _build_runner, _runner_kind,
-                          phase_sweep, run_dichotomy, run_urn_experiment)
-from .model import DriftSpec
-from .rng import derive_seed
+from .experiments import (DiscreteDichotomyRunner, ExperimentConfig,
+                          _build_runner, phase_sweep, run_dichotomy,
+                          run_urn_experiment)
+from .rng import NonFiniteStateError, derive_seed
 
 CSV_COLUMNS = ["k", "gamma", "prediction", "n_converged", "n_escaped",
                "n_undecided", "p_conv", "ci_lo", "ci_hi", "seed"]
@@ -89,7 +89,7 @@ def make_manifest(config: ExperimentConfig, rows, started: float) -> dict:
         "config": config.to_dict(),
         "base_seed": config.seed,
         "counts": counts,
-        "wall_clock_s": round(time.time() - started, 3),
+        "wall_clock_s": round(time.perf_counter() - started, 3),
     }
 
 
@@ -189,7 +189,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if not seed_given and os.environ.get("SADDLELAB_SEED"):
         data["seed"] = int(os.environ["SADDLELAB_SEED"])
     if data.get("jobs") is None:
-        data["jobs"] = os.cpu_count() or 1
+        # the CPUs this process may run on, where the platform can tell
+        affinity = getattr(os, "sched_getaffinity", None)
+        data["jobs"] = len(affinity(0)) if affinity else os.cpu_count() or 1
     return ExperimentConfig.from_dict(data)
 
 
@@ -197,15 +199,13 @@ def _dump_trajectories(config: ExperimentConfig, out_dir: Path) -> None:
     """Every state of the first dump_max trials, all recorded in one batch."""
     seeds = [derive_seed(config.seed, i)
              for i in range(min(config.trials, config.dump_max))]
+    runner, _ = _build_runner(config, config.k, config.gamma)
     arrays = {}
-    if _runner_kind(config) == "discrete":
-        paths = disc.sgd_paths(
-            DriftSpec("monomial", config.k, config.c, config.cap),
-            config.gamma, disc.NoiseSpec(config.noise, config.noise_bound),
-            config.x0, config.n0, config.n0 + config.steps, seeds)
+    if isinstance(runner, DiscreteDichotomyRunner):
+        paths = disc.sgd_paths(runner.drift, runner.gamma, runner.noise,
+                               runner.x0, runner.n0, runner.n_end, seeds)
     else:
-        runner, _ = _build_runner(config, config.k, config.gamma)
-        grid = cont.TimeGrid(config.t0, config.horizon, config.dt)
+        grid = cont.TimeGrid(runner.spec.t0, runner.t_end, runner.dt)
         paths = cont.em_paths(runner.spec, grid, seeds)
         arrays["times"] = grid.times()
     arrays.update((f"trial_{i}", path) for i, path in enumerate(paths))
@@ -213,7 +213,7 @@ def _dump_trajectories(config: ExperimentConfig, out_dir: Path) -> None:
 
 
 def _run_experiment_command(config: ExperimentConfig) -> int:
-    started = time.time()
+    started = time.perf_counter()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if config.kind == "sweep":
@@ -270,7 +270,7 @@ def main(argv=None) -> int:
             return _run_validate(args)
         config = resolve_config(args)
         return _run_experiment_command(config)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, NonFiniteStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NoiseSchedule, ProcessSpec, drift_eval
-from .rng import (FirstViolation, NonFiniteStateError, Record, RunningMax,
-                  TailAbsMax, derive_seed, drive, make_rng)
+from .rng import (Extremes, FirstViolation, NonFiniteStateError, Record,
+                  derive_seed, drive, make_rng)
 
 __all__ = [
     "TimeGrid",
@@ -45,7 +45,6 @@ __all__ = [
     "em_batch",
     "em_paths",
     "coupled_violations_batch",
-    "EMBatchStats",
 ]
 
 
@@ -189,34 +188,20 @@ def em_paths(spec: ProcessSpec, grid: TimeGrid, seeds) -> np.ndarray:
     return record.value
 
 
-@dataclass(eq=False)
-class EMBatchStats:
-    """Per-trial summaries from a batched EM run (memory stays O(trials))."""
-
-    seeds: np.ndarray
-    final: np.ndarray
-    max_value: np.ndarray
-    tail_abs_max: np.ndarray
-    tail_start: float
-
-
 def em_batch(spec: ProcessSpec, grid: TimeGrid, seeds,
-             tail_start: float | None = None) -> EMBatchStats:
-    """One EM trajectory per seed, stepped together across trials.
+             tail_start: float | None = None) -> Extremes:
+    """One EM trajectory per seed, stepped together across trials; returns
+    each trial's running extremes over the grid's times, with the tail
+    from tail_start on (the whole path when None), and its final state.
 
     Each trial draws its own stream exactly as brownian_increments +
     simulate_em would, so per-seed results do not depend on how trials are
     grouped or scheduled.
     """
     seeds = np.asarray(list(seeds), dtype=np.uint64)
-    t = grid.times()
-    if tail_start is None:
-        tail_start = float(t[0])
-    max_value = RunningMax(len(seeds))
-    tail = TailAbsMax(len(seeds), int(np.count_nonzero(t < tail_start)))
-    final = _em_drive(spec, grid, [max_value, tail], seeds=seeds)
-    return EMBatchStats(seeds=seeds, final=final, max_value=max_value.value,
-                        tail_abs_max=tail.value, tail_start=float(tail_start))
+    extremes = Extremes(len(seeds), grid.times(), tail_start)
+    extremes.final = _em_drive(spec, grid, [extremes], seeds=seeds)
+    return extremes
 
 
 def simulate_coupled(spec_a: ProcessSpec, spec_b: ProcessSpec,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DriftSpec, MeanFlowFrame, drift_eval, mean_flow_h
-from .rng import Record, RunningMax, TailAbsMax, drive
+from .rng import Extremes, Record, drive
 from .rng import make_rng  # noqa: F401  (bench/tracing.py wraps discrete.make_rng)
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "simulate_sgd",
     "sgd_batch",
     "sgd_paths",
-    "SgdBatchStats",
     "simulate_urn",
     "urn_final_batch",
     "urn_as_sgd_check",
@@ -51,7 +50,6 @@ __all__ = [
 
 RADEMACHER = "rademacher"
 UNIFORM_CENTERED = "uniform_centered"
-URN_INDUCED = "urn_induced"
 
 
 @dataclass(frozen=True)
@@ -60,15 +58,15 @@ class NoiseSpec:
 
     rademacher takes values +-M with equal probability (variance floor M^2,
     the extremal case); uniform_centered is uniform on [-M, M] (floor
-    M^2/3).  urn_induced denotes the state-dependent g_n realized inside
-    the urn simulation; it cannot be sampled i.i.d. here.
+    M^2/3).  The urn's state-dependent noise g_n is realized inside the urn
+    simulation, not here.
     """
 
     family: str
     M: float = 1.0
 
     def __post_init__(self):
-        if self.family not in (RADEMACHER, UNIFORM_CENTERED, URN_INDUCED):
+        if self.family not in (RADEMACHER, UNIFORM_CENTERED):
             raise ValueError(f"unknown noise family {self.family!r}")
         if not self.M > 0:
             raise ValueError("noise bound M must be positive")
@@ -77,16 +75,12 @@ class NoiseSpec:
     def variance_floor(self) -> float:
         if self.family == RADEMACHER:
             return self.M ** 2
-        if self.family == UNIFORM_CENTERED:
-            return self.M ** 2 / 3.0
-        raise ValueError("urn-induced noise floor depends on the feedback f")
+        return self.M ** 2 / 3.0
 
     def sample_chunk(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.family == RADEMACHER:
             return (2.0 * rng.integers(0, 2, size=size) - 1.0) * self.M
-        if self.family == UNIFORM_CENTERED:
-            return rng.uniform(-self.M, self.M, size=size)
-        raise ValueError("urn-induced noise is realized by simulate_urn")
+        return rng.uniform(-self.M, self.M, size=size)
 
 
 @dataclass(eq=False)
@@ -161,30 +155,19 @@ def sgd_paths(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: float
     return record.value
 
 
-@dataclass(eq=False)
-class SgdBatchStats:
-    seeds: np.ndarray
-    final: np.ndarray
-    max_value: np.ndarray
-    tail_abs_max: np.ndarray
-    tail_from: int
-
-
 def sgd_batch(drift: DriftSpec, gamma: float, noise: NoiseSpec, x0: float,
               n0: int, n_end: int, seeds,
-              tail_from: int | None = None,
-              shrink_exponent: float | None = None) -> SgdBatchStats:
-    """One recursion per seed, stepped together; per-seed results match
-    simulate_sgd exactly."""
+              tail_start: float | None = None,
+              shrink_exponent: float | None = None) -> Extremes:
+    """One recursion per seed, stepped together; returns each trial's
+    running extremes over n = n0..n_end, with the tail from n = tail_start
+    on (the whole path when None), and its final state.  Per-seed results
+    match simulate_sgd exactly."""
     seeds = np.asarray(list(seeds), dtype=np.uint64)
-    if tail_from is None:
-        tail_from = n0
-    max_value = RunningMax(len(seeds))
-    tail = TailAbsMax(len(seeds), tail_from - n0)
-    final = _sgd_drive(drift, gamma, noise, x0, n0, n_end, seeds,
-                       [max_value, tail], shrink_exponent)
-    return SgdBatchStats(seeds=seeds, final=final, max_value=max_value.value,
-                         tail_abs_max=tail.value, tail_from=int(tail_from))
+    extremes = Extremes(len(seeds), np.arange(n0, n_end + 1, dtype=float), tail_start)
+    extremes.final = _sgd_drive(drift, gamma, noise, x0, n0, n_end, seeds,
+                                [extremes], shrink_exponent)
+    return extremes
 
 
 @dataclass(frozen=True)

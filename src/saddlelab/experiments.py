@@ -28,7 +28,7 @@ import numpy as np
 
 from . import continuous as cont
 from . import discrete as disc
-from .analysis import (ClassifierConfig, MCResult, PhaseCell, classify_stats,
+from .analysis import (ClassifierConfig, MCResult, classify_stats,
                        estimate_probability)
 from .model import DriftSpec, NoiseSchedule, ProcessSpec, predict_regime
 from .rng import derive_seed
@@ -111,25 +111,20 @@ class ContinuousDichotomyRunner:
 
 @dataclass(frozen=True)
 class DiscreteDichotomyRunner:
-    k: float
+    """Trials of one discrete recursion, classified from their running stats."""
+
+    drift: DriftSpec
+    noise: disc.NoiseSpec
     gamma: float
-    c: float
-    cap: float
-    noise_family: str
-    noise_bound: float
     x0: float
     n0: int
     n_end: int
     cfg: ClassifierConfig
 
     def __call__(self, seeds):
-        drift = DriftSpec("monomial", self.k, self.c, self.cap)
-        noise = disc.NoiseSpec(self.noise_family, self.noise_bound)
-        # on integer times n >= v exactly when n >= ceil(v), as classify() tests
-        tail_from = self.cfg.tail_start(self.n0, self.n_end)
-        stats = disc.sgd_batch(drift, self.gamma, noise, self.x0,
+        stats = disc.sgd_batch(self.drift, self.gamma, self.noise, self.x0,
                                self.n0, self.n_end, seeds,
-                               tail_from=math.ceil(tail_from))
+                               tail_start=self.cfg.tail_start(self.n0, self.n_end))
         return classify_stats(stats.max_value, stats.tail_abs_max, self.cfg)
 
 
@@ -222,12 +217,10 @@ def _build_runner(config: ExperimentConfig, k: float, gamma: float):
         cfg = discrete_classifier(k, gamma, config.n0, n_end,
                                   config.tail_fraction, config.eps_conv,
                                   config.barrier)
-        runner = DiscreteDichotomyRunner(k=k, gamma=gamma, c=config.c,
-                                         cap=config.cap,
-                                         noise_family=config.noise,
-                                         noise_bound=config.noise_bound,
-                                         x0=config.x0, n0=config.n0,
-                                         n_end=n_end, cfg=cfg)
+        runner = DiscreteDichotomyRunner(
+            drift=DriftSpec("monomial", k, config.c, config.cap),
+            noise=disc.NoiseSpec(config.noise, config.noise_bound),
+            gamma=gamma, x0=config.x0, n0=config.n0, n_end=n_end, cfg=cfg)
         return runner, cfg
     if kind == "linear":
         cfg = linear_classifier(k, config.x0, config.t0, config.horizon,
@@ -291,23 +284,18 @@ def run_dichotomy(config: ExperimentConfig, k: float | None = None,
                            boundary=boundary)
 
 
-def phase_sweep(config: ExperimentConfig) -> list[PhaseCell]:
-    """One PhaseCell per (k, gamma) grid point, row-major over k then gamma.
+def phase_sweep(config: ExperimentConfig) -> list[DichotomyOutput]:
+    """One DichotomyOutput per (k, gamma) grid point, row-major over k then
+    gamma.
 
     Cell seeds derive from (base seed, cell index), so the table is
     reproducible cell-by-cell and independent of worker count.
     """
-    cells = []
     sweep_cfg = dataclasses.replace(config, kind="sweep")
-    index = 0
-    for k in config.k_values:
-        for gamma in config.gamma_values:
-            out = run_dichotomy(sweep_cfg, k=k, gamma=gamma,
-                                base_seed=derive_seed(config.seed, index))
-            cells.append(PhaseCell(k=k, gamma=gamma, prediction=out.prediction,
-                                   boundary=out.boundary, result=out.result))
-            index += 1
-    return cells
+    cells = [(k, gamma) for k in config.k_values for gamma in config.gamma_values]
+    return [run_dichotomy(sweep_cfg, k=k, gamma=gamma,
+                          base_seed=derive_seed(config.seed, index))
+            for index, (k, gamma) in enumerate(cells)]
 
 
 @dataclass(eq=False)

@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["NOISE_CHUNK", "TRIAL_CAP", "derive_seed", "make_rng", "chunk_ranges",
-           "NonFiniteStateError", "drive", "RunningMax", "TailAbsMax",
-           "FirstViolation", "Record"]
+           "NonFiniteStateError", "drive", "Extremes", "FirstViolation",
+           "Record"]
 
 NOISE_CHUNK = 8192
 TRIAL_CAP = 1024  # drive steps wider trial sets in parts to bound buffer memory
@@ -48,6 +48,10 @@ class NonFiniteStateError(RuntimeError):
         super().__init__(f"non-finite state at step {step_index}; "
                          "check drift cap and step size")
         self.step_index = step_index
+
+    def __reduce__(self):
+        # rebuilt from the step, not the message, when a worker sends it back
+        return type(self), (self.step_index,)
 
 
 def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
@@ -111,35 +115,30 @@ def _first_bad_step(x, update, a, block) -> int:
     raise AssertionError("replaying the chunk gave a finite state")
 
 
-class RunningMax:
-    """Per-trial maximum of the state over every step."""
+class Extremes:
+    """Per-trial maximum of the state over every node, and maximum of |state|
+    over the tail: the nodes whose time is >= tail_start (every node when
+    tail_start is None; 0 for a trial with no tail node).  times holds the
+    node times on the run's own clock; the caller sets `final`."""
 
-    def __init__(self, n_trials: int):
-        self.value = np.empty(n_trials)
-
-    def begin(self, x, part):
-        self._view = self.value[part]
-        self._view[...] = x
-
-    def step(self, x, index):
-        np.maximum(self._view, x, out=self._view)
-
-
-class TailAbsMax:
-    """Per-trial maximum of |state| from step `first` on; 0 before it."""
-
-    def __init__(self, n_trials: int, first: int):
-        self.value = np.zeros(n_trials)
-        self.first = first
+    def __init__(self, n_trials: int, times, tail_start: float | None = None):
+        self.max_value = np.empty(n_trials)
+        self.tail_abs_max = np.zeros(n_trials)
+        self.final = None
+        self.first_tail_node = (0 if tail_start is None else
+                                int(np.count_nonzero(np.asarray(times) < tail_start)))
 
     def begin(self, x, part):
-        self._view = self.value[part]
-        if self.first <= 0:
-            self._view[...] = np.abs(x)
+        self._max = self.max_value[part]
+        self._tail = self.tail_abs_max[part]
+        self._max[...] = x
+        if self.first_tail_node <= 0:
+            self._tail[...] = np.abs(x)
 
     def step(self, x, index):
-        if index >= self.first:
-            np.maximum(self._view, np.abs(x), out=self._view)
+        np.maximum(self._max, x, out=self._max)
+        if index >= self.first_tail_node:
+            np.maximum(self._tail, np.abs(x), out=self._tail)
 
 
 class FirstViolation:

@@ -48,12 +48,20 @@ class TestClassifier:
         v[10] = 4.0
         assert classify(traj_from(t, v), CFG) is Outcome.ESCAPED
 
-    def test_stats_agree_with_trajectory_classification(self):
+    @pytest.mark.parametrize("dt, tail_fraction, eps_conv", [
+        (1e-3, 0.2, 0.01),
+        # the tail starts at t = 2.25, between the nodes 2.2 and 2.3; four
+        # trials converge, one of them only because the node at 2.2 is out
+        (0.1, 0.25, 0.3),
+    ], ids=["fine-grid", "off-node-tail"])
+    def test_stats_agree_with_trajectory_classification(self, dt, tail_fraction,
+                                                        eps_conv):
         spec = ProcessSpec(DriftSpec("linear", 0.8), NoiseSchedule("exp_half"),
                            t0=0.0, x0=-0.1)
-        grid = TimeGrid(0.0, 3.0, 1e-3)
+        grid = TimeGrid(0.0, 3.0, dt)
         seeds = [derive_seed(41, i) for i in range(25)]
-        cfg = ClassifierConfig(eps_conv=0.01, barrier=0.5, tail_fraction=0.2)
+        cfg = ClassifierConfig(eps_conv=eps_conv, barrier=0.5,
+                               tail_fraction=tail_fraction)
         stats = em_batch(spec, grid, seeds,
                          tail_start=cfg.tail_start(0.0, 3.0))
         batch = classify_stats(stats.max_value, stats.tail_abs_max, cfg)

@@ -1,7 +1,8 @@
 import csv
 import json
+import os
 
-from saddlelab.cli import main
+from saddlelab.cli import build_parser, main, resolve_config
 
 FAST_SWEEP = ["sweep", "--model", "continuous", "--k-values", "2.0",
               "--gamma-values", "0.6,0.9", "--trials", "24",
@@ -199,6 +200,29 @@ class TestErrorPaths:
     def test_validate_rejects_unknown_criterion(self, capsys):
         rc = main(["validate", "--criterion", "99"])
         assert rc != 0
+
+    def test_non_finite_state_is_an_error_line(self, tmp_path, capsys):
+        # e^{0.8 t} growth on a 1000-long horizon leaves the float range
+        rc = main(["linear-dichotomy", "--k", "0.8", "--horizon", "1000",
+                   "--dt", "0.1", "--trials", "4", "--jobs", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite state at step 9232")
+        assert "Traceback" not in err
+
+
+class TestJobsDefault:
+    def test_counts_cpus_in_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_config(build_parser().parse_args(["simulate"])).jobs == 3
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert resolve_config(build_parser().parse_args(["simulate"])).jobs == 5
 
 
 class TestSeedResolution:

@@ -45,18 +45,11 @@ class TestNoiseSpec:
         se = 1.0 / math.sqrt(len(draws))
         assert abs(draws.mean()) <= 4 * se
 
-    def test_urn_induced_not_directly_sampleable(self):
-        noise = NoiseSpec("urn_induced", 1.0)
-        with pytest.raises(ValueError):
-            noise.sample_chunk(make_rng(0), 10)
-        with pytest.raises(ValueError):
-            noise.variance_floor
-        with pytest.raises(ValueError):
-            simulate_sgd(MONO, 0.9, noise, -0.2, 1, 100, 0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             NoiseSpec("gaussian", 1.0)
+        with pytest.raises(ValueError):   # the urn's g_n is not i.i.d. noise
+            NoiseSpec("urn_induced", 1.0)
         with pytest.raises(ValueError):
             NoiseSpec("rademacher", 0.0)
 
@@ -99,7 +92,7 @@ class TestSgdRecursion:
         noise = NoiseSpec("rademacher", 1.0)
         seeds = [derive_seed(800, i) for i in range(6)]
         stats = sgd_batch(MONO, 0.9, noise, -0.2, 10, 3 * NOISE_CHUNK + 50,
-                          seeds, tail_from=20_000)
+                          seeds, tail_start=20_000)
         for i, s in enumerate(seeds):
             traj = simulate_sgd(MONO, 0.9, noise, -0.2, 10,
                                 3 * NOISE_CHUNK + 50, s)
@@ -115,7 +108,7 @@ class TestSgdRecursion:
         noise = NoiseSpec("rademacher", 1.0)
         seeds = [derive_seed(801, i) for i in range(31, 36)]
         stats = sgd_batch(drift, 0.7, noise, -0.2, 10, 20_010, seeds,
-                          tail_from=16_010)
+                          tail_start=16_010)
         paths = sgd_paths(drift, 0.7, noise, -0.2, 10, 20_010, seeds)
         for i, s in enumerate(seeds):
             traj = simulate_sgd(drift, 0.7, noise, -0.2, 10, 20_010, s)

@@ -101,10 +101,10 @@ class TestRunners:
 
     def test_discrete_runner_outcomes(self):
         cfg = discrete_classifier(2.0, 0.9, 10, 2010)
-        runner = DiscreteDichotomyRunner(k=2.0, gamma=0.9, c=1.0, cap=10.0,
-                                         noise_family="rademacher",
-                                         noise_bound=1.0, x0=-0.2, n0=10,
-                                         n_end=2010, cfg=cfg)
+        runner = DiscreteDichotomyRunner(drift=DriftSpec("monomial", 2.0, 1.0, 10.0),
+                                         noise=NoiseSpec("rademacher", 1.0),
+                                         gamma=0.9, x0=-0.2, n0=10, n_end=2010,
+                                         cfg=cfg)
         outcomes = runner([derive_seed(2, i) for i in range(8)])
         assert len(outcomes) == 8
 
@@ -112,13 +112,11 @@ class TestRunners:
         # the tail starts at n = 15.6: it holds the states at n = 16 and 17,
         # not the one at n = 15
         cfg = ClassifierConfig(eps_conv=0.19, barrier=3.0, tail_fraction=0.2)
-        runner = DiscreteDichotomyRunner(k=2.0, gamma=0.9, c=1.0, cap=10.0,
-                                         noise_family="uniform_centered",
-                                         noise_bound=0.05, x0=-0.2, n0=10,
-                                         n_end=17, cfg=cfg)
-        seeds = [derive_seed(0, i) for i in range(400)]
         drift = DriftSpec("monomial", 2.0, 1.0, 10.0)
         noise = NoiseSpec("uniform_centered", 0.05)
+        runner = DiscreteDichotomyRunner(drift=drift, noise=noise, gamma=0.9,
+                                         x0=-0.2, n0=10, n_end=17, cfg=cfg)
+        seeds = [derive_seed(0, i) for i in range(400)]
         single = [classify(simulate_sgd(drift, 0.9, noise, -0.2, 10, 17, s), cfg)
                   for s in seeds]
         assert runner(seeds) == single

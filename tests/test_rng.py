@@ -1,9 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from saddlelab import continuous, discrete, rng
 from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
-from saddlelab.rng import (NonFiniteStateError, Record, RunningMax, chunk_ranges,
+from saddlelab.rng import (Extremes, NonFiniteStateError, Record, chunk_ranges,
                            derive_seed, drive, make_rng)
 
 SAMPLERS = {
@@ -50,12 +52,33 @@ def test_observers_see_every_step_of_every_part(monkeypatch):
     def update(x, step, noise):
         x += noise
 
-    record, top = Record((5,), 7), RunningMax(5)
+    record, top = Record((5,), 7), Extremes(5, np.arange(8.0))
     final = drive(np.zeros(5), 7, update, [record, top], increments=increments)
     expected = np.concatenate([np.zeros((5, 1)), np.cumsum(increments, axis=1)], axis=1)
     assert np.array_equal(record.value, expected)
     assert np.array_equal(final, expected[:, -1])
-    assert np.array_equal(top.value, expected.max(axis=1))
+    assert np.array_equal(top.max_value, expected.max(axis=1))
+
+
+@pytest.mark.parametrize("tail_start, first_node", [
+    (None, 0), (-1.0, 0), (2.0, 2), (2.5, 3), (7.5, 8)])
+def test_extremes_tail_is_every_node_at_or_after_tail_start(monkeypatch, tail_start,
+                                                            first_node):
+    # node times 0, 1, ..., 7; the tail crosses parts of two trials and
+    # chunks of three steps; past the last node the tail is empty (max 0)
+    monkeypatch.setattr(rng, "TRIAL_CAP", 2)
+    monkeypatch.setattr(rng, "NOISE_CHUNK", 3)
+    increments = np.sin(np.arange(35.0)).reshape(5, 7)
+
+    def update(x, step, noise):
+        x += noise
+
+    record, extremes = Record((5,), 7), Extremes(5, np.arange(8.0), tail_start)
+    drive(np.full(5, 0.5), 7, update, [record, extremes], increments=increments)
+    assert extremes.first_tail_node == first_node
+    assert np.array_equal(extremes.max_value, record.value.max(axis=1))
+    tail = np.abs(record.value[:, first_node:])
+    assert np.array_equal(extremes.tail_abs_max, tail.max(axis=1, initial=0.0))
 
 
 def test_non_finite_error_names_first_step_over_all_parts(monkeypatch):
@@ -73,3 +96,10 @@ def test_non_finite_error_names_first_step_over_all_parts(monkeypatch):
     assert err.value.step_index == 3
     assert isinstance(err.value, RuntimeError)
     assert continuous.NonFiniteStateError is NonFiniteStateError
+
+
+def test_non_finite_error_survives_pickling():
+    # pool workers hand exceptions back pickled
+    err = pickle.loads(pickle.dumps(NonFiniteStateError(9217)))
+    assert err.step_index == 9217
+    assert str(err) == str(NonFiniteStateError(9217))
