@@ -45,11 +45,14 @@ class TestNoiseSpec:
         se = 1.0 / math.sqrt(len(draws))
         assert abs(draws.mean()) <= 4 * se
 
+    def test_urn_induced_not_directly_sampleable(self):
+        # The urn's g_n is not i.i.d. noise, so no NoiseSpec can carry it.
+        with pytest.raises(ValueError):
+            NoiseSpec("urn_induced", 1.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             NoiseSpec("gaussian", 1.0)
-        with pytest.raises(ValueError):   # the urn's g_n is not i.i.d. noise
-            NoiseSpec("urn_induced", 1.0)
         with pytest.raises(ValueError):
             NoiseSpec("rademacher", 0.0)
 
