@@ -46,10 +46,6 @@ class CriterionResult:
         return f"{status}  {self.criterion}: {self.detail} ({self.elapsed_s:.1f}s)"
 
 
-def _fractions(result):
-    return {oc: result.estimate(oc) for oc in Outcome}
-
-
 def criterion_1_linear_supercritical() -> tuple[bool, str]:
     config = ExperimentConfig(kind="linear-dichotomy", family="linear", k=0.8,
                               x0=-0.1, t0=0.0, horizon=15.0, dt=1e-3,
@@ -59,8 +55,8 @@ def criterion_1_linear_supercritical() -> tuple[bool, str]:
     esc = out.result.estimate(Outcome.ESCAPED)
     ok = conv <= 0.01 and esc >= 0.95
     return ok, (f"k=0.8: converged={conv:.4f} (<=0.01), escaped={esc:.4f} "
-                f"(>=0.95), barrier={out.classifier.barrier:g}, "
-                f"eps={out.classifier.eps_conv:g}")
+                f"(>=0.95), barrier={out.runner.cfg.barrier:g}, "
+                f"eps={out.runner.cfg.eps_conv:g}")
 
 
 def criterion_2_linear_subcritical() -> tuple[bool, str]:

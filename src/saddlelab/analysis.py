@@ -16,11 +16,9 @@ Closed forms from the linear case (exponential clock, drift k|x|):
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -31,6 +29,8 @@ __all__ = [
     "Outcome",
     "ClassifierConfig",
     "MCResult",
+    "tail_start",
+    "trial_seeds",
     "classify",
     "classify_stats",
     "wilson_interval",
@@ -41,7 +41,6 @@ __all__ = [
     "MomentReport",
     "verify_dominance",
     "DominanceReport",
-    "fingerprint",
 ]
 
 _NORMAL = NormalDist()
@@ -53,6 +52,11 @@ class Outcome(enum.Enum):
     CONVERGED = "converged"
     ESCAPED = "escaped"
     UNDECIDED = "undecided"
+
+
+def tail_start(t0: float, t_end: float, tail_fraction: float) -> float:
+    """Start of the tail window: the last tail_fraction of [t0, t_end]."""
+    return t0 + (1.0 - tail_fraction) * (t_end - t0)
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ class ClassifierConfig:
             raise ValueError("tail_fraction must lie in (0, 1)")
 
     def tail_start(self, t0: float, t_end: float) -> float:
-        return t0 + (1.0 - self.tail_fraction) * (t_end - t0)
+        return tail_start(t0, t_end, self.tail_fraction)
 
 
 def classify(traj, cfg: ClassifierConfig) -> Outcome:
@@ -120,22 +124,13 @@ def wilson_interval(successes: int, trials: int,
     return (lo, hi)
 
 
-def fingerprint(payload) -> str:
-    """Stable hash of an experiment description (spec + grid + config)."""
-    blob = json.dumps(payload, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 @dataclass(eq=True)
 class MCResult:
-    """Outcome counts with point estimates and Wilson 95% intervals."""
+    """Outcome counts; point estimates and Wilson intervals on request."""
 
     n_trials: int
     counts: dict
     base_seed: int
-    fingerprint: str = ""
-    estimates: dict = field(default_factory=dict)
-    intervals: dict = field(default_factory=dict)
 
     def __post_init__(self):
         total = sum(self.counts.values())
@@ -143,38 +138,36 @@ class MCResult:
             raise ValueError(f"counts sum to {total}, expected {self.n_trials}")
         for oc in Outcome:
             self.counts.setdefault(oc, 0)
-        if not self.estimates:
-            self.estimates = {oc: self.counts[oc] / self.n_trials for oc in Outcome}
-        if not self.intervals:
-            self.intervals = {oc: wilson_interval(self.counts[oc], self.n_trials)
-                              for oc in Outcome}
 
     def estimate(self, outcome: Outcome) -> float:
-        return self.estimates[outcome]
+        return self.counts[outcome] / self.n_trials
 
     def interval(self, outcome: Outcome, confidence: float = 0.95):
-        if confidence == 0.95:
-            return self.intervals[outcome]
         return wilson_interval(self.counts[outcome], self.n_trials, confidence)
+
+
+def trial_seeds(base_seed: int, n_trials: int) -> np.ndarray:
+    """The one trial-seed rule: trial i runs on derive_seed(base_seed, i)."""
+    return np.array([derive_seed(base_seed, i) for i in range(n_trials)],
+                    dtype=np.uint64)
 
 
 def _run_block(args):
     runner, seeds = args
-    return [oc.value for oc in runner(seeds)]
+    return runner(seeds)
 
 
 def estimate_probability(runner, n_trials: int, base_seed: int,
-                         jobs: int = 1, payload=None) -> MCResult:
+                         jobs: int = 1) -> MCResult:
     """Run n_trials independent trials and count outcomes.
 
-    runner maps an array of per-trial seeds to a sequence of Outcomes; each
-    trial's seed is derive_seed(base_seed, trial_index), so counts do not
-    depend on block boundaries or on how many workers execute them.
+    runner maps an array of per-trial seeds to a sequence of Outcomes; the
+    seeds are trial_seeds(base_seed, n_trials), so counts do not depend on
+    block boundaries or on how many workers execute them.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    seeds = np.array([derive_seed(base_seed, i) for i in range(n_trials)],
-                     dtype=np.uint64)
+    seeds = trial_seeds(base_seed, n_trials)
     blocks = [seeds[a:a + TRIAL_BLOCK] for a in range(0, n_trials, TRIAL_BLOCK)]
     if jobs > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -183,10 +176,9 @@ def estimate_probability(runner, n_trials: int, base_seed: int,
         results = [_run_block((runner, b)) for b in blocks]
     counts = {oc: 0 for oc in Outcome}
     for block in results:
-        for value in block:
-            counts[Outcome(value)] += 1
-    return MCResult(n_trials=n_trials, counts=counts, base_seed=int(base_seed),
-                    fingerprint=fingerprint(payload) if payload is not None else "")
+        for outcome in block:
+            counts[outcome] += 1
+    return MCResult(n_trials=n_trials, counts=counts, base_seed=int(base_seed))
 
 
 def never_return_alpha(k: float, s: float, x_s: float) -> float:

@@ -23,13 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import continuous as cont
-from . import discrete as disc
-from .analysis import Outcome
-from .experiments import (DiscreteDichotomyRunner, ExperimentConfig,
-                          _build_runner, phase_sweep, run_dichotomy,
-                          run_urn_experiment)
-from .rng import NonFiniteStateError, derive_seed
+from .analysis import Outcome, trial_seeds
+from .experiments import (DichotomyOutput, ExperimentConfig, phase_sweep,
+                          run_dichotomy, run_urn_experiment)
+from .rng import NonFiniteStateError
 
 CSV_COLUMNS = ["k", "gamma", "prediction", "n_converged", "n_escaped",
                "n_undecided", "p_conv", "ci_lo", "ci_hi", "seed"]
@@ -195,21 +192,12 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _dump_trajectories(config: ExperimentConfig, out_dir: Path) -> None:
-    """Every state of the first dump_max trials, all recorded in one batch."""
-    seeds = [derive_seed(config.seed, i)
-             for i in range(min(config.trials, config.dump_max))]
-    runner, _ = _build_runner(config, config.k, config.gamma)
-    arrays = {}
-    if isinstance(runner, DiscreteDichotomyRunner):
-        paths = disc.sgd_paths(runner.drift, runner.gamma, runner.noise,
-                               runner.x0, runner.n0, runner.n_end, seeds)
-    else:
-        grid = cont.TimeGrid(runner.spec.t0, runner.t_end, runner.dt)
-        paths = cont.em_paths(runner.spec, grid, seeds)
-        arrays["times"] = grid.times()
-    arrays.update((f"trial_{i}", path) for i, path in enumerate(paths))
-    np.savez_compressed(out_dir / "trajectories.npz", **arrays)
+def _dump_trajectories(out: DichotomyOutput, out_dir: Path) -> None:
+    """Every state of the first dump_max counted trials, recorded in one
+    batch by the runner that counted them."""
+    seeds = trial_seeds(out.result.base_seed,
+                        min(out.config.trials, out.config.dump_max))
+    np.savez_compressed(out_dir / "trajectories.npz", **out.runner.paths(seeds))
 
 
 def _run_experiment_command(config: ExperimentConfig) -> int:
@@ -240,7 +228,7 @@ def _run_experiment_command(config: ExperimentConfig) -> int:
               f"undecided={r['n_undecided']} "
               f"p_conv={r['p_conv']:.4f} [{r['ci_lo']:.4f}, {r['ci_hi']:.4f}]")
         if config.dump_trajectories:
-            _dump_trajectories(config, out_dir)
+            _dump_trajectories(out, out_dir)
     manifest = make_manifest(config, rows, started)
     stem = config.kind.replace("-", "_")
     with open(out_dir / f"{stem}_manifest.json", "w") as fh:

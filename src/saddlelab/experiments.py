@@ -15,7 +15,9 @@ band and barrier are set from the regime's own scales:
   clipped at 0.1 to stay well under the barrier.
 
 Experiment runners are plain frozen dataclasses mapping a block of trial
-seeds to outcomes, so they pickle cleanly onto worker processes.
+seeds to outcomes, so they pickle cleanly onto worker processes.  A runner
+also records the paths behind those outcomes (`paths`) and names the model
+whose prediction applies (`model`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from . import continuous as cont
 from . import discrete as disc
 from .analysis import (ClassifierConfig, MCResult, classify_stats,
-                       estimate_probability)
+                       estimate_probability, tail_start, trial_seeds)
 from .model import DriftSpec, NoiseSchedule, ProcessSpec, predict_regime
 from .rng import derive_seed
 
@@ -57,7 +59,7 @@ def linear_classifier(k: float, x0: float, t0: float, t_end: float,
     else:
         barrier = 3.0 if barrier is None else barrier
         if eps_conv is None:
-            t_tail = t0 + (1.0 - tail_fraction) * (t_end - t0)
+            t_tail = tail_start(t0, t_end, tail_fraction)
             sigma_inf = math.sqrt(1.0 / (1.0 - 2.0 * k))
             eps = min(3.0 * sigma_inf * math.exp(-k * t_tail), 0.9 * barrier)
         else:
@@ -73,7 +75,7 @@ def monomial_classifier(k: float, t0: float, t_end: float,
     """Band scaled to the mean-flow magnitude |h| at the tail start."""
     barrier = 3.0 if barrier is None else barrier
     if eps_conv is None:
-        t_tail = t0 + (1.0 - tail_fraction) * (t_end - t0)
+        t_tail = tail_start(t0, t_end, tail_fraction)
         eps_conv = min(2.5 * t_tail ** (1.0 / (1.0 - k)), 0.1)
     return ClassifierConfig(eps_conv=eps_conv, barrier=barrier,
                             tail_fraction=tail_fraction)
@@ -86,7 +88,7 @@ def discrete_classifier(k: float, gamma: float, n0: int, n_end: int,
     """Band scaled to the discrete mean flow (1-gamma) n^{-(1-gamma)}."""
     barrier = 3.0 if barrier is None else barrier
     if eps_conv is None:
-        n_tail = n0 + (1.0 - tail_fraction) * (n_end - n0)
+        n_tail = tail_start(n0, n_end, tail_fraction)
         eps_conv = min(3.0 * (1.0 - gamma) * n_tail ** (-(1.0 - gamma)), 0.1)
     return ClassifierConfig(eps_conv=eps_conv, barrier=barrier,
                             tail_fraction=tail_fraction)
@@ -101,12 +103,23 @@ class ContinuousDichotomyRunner:
     dt: float
     cfg: ClassifierConfig
 
+    @property
+    def model(self) -> str:
+        return self.spec.drift.family
+
+    @property
+    def grid(self) -> cont.TimeGrid:
+        return cont.TimeGrid(self.spec.t0, self.t_end, self.dt)
+
     def __call__(self, seeds):
-        t0 = self.spec.t0
-        grid = cont.TimeGrid(t0, self.t_end, self.dt)
-        stats = cont.em_batch(self.spec, grid, seeds,
-                              tail_start=self.cfg.tail_start(t0, self.t_end))
+        stats = cont.em_batch(self.spec, self.grid, seeds,
+                              tail_start=self.cfg.tail_start(self.spec.t0, self.t_end))
         return classify_stats(stats.max_value, stats.tail_abs_max, self.cfg)
+
+    def paths(self, seeds) -> dict:
+        """The grid times and every state of one trial per seed."""
+        return {"times": self.grid.times(),
+                **_trial_arrays(cont.em_paths(self.spec, self.grid, seeds))}
 
 
 @dataclass(frozen=True)
@@ -120,12 +133,22 @@ class DiscreteDichotomyRunner:
     n0: int
     n_end: int
     cfg: ClassifierConfig
+    model = "discrete"
 
     def __call__(self, seeds):
         stats = disc.sgd_batch(self.drift, self.gamma, self.noise, self.x0,
                                self.n0, self.n_end, seeds,
                                tail_start=self.cfg.tail_start(self.n0, self.n_end))
         return classify_stats(stats.max_value, stats.tail_abs_max, self.cfg)
+
+    def paths(self, seeds) -> dict:
+        """Every state X_{n0..n_end} of one trial per seed."""
+        return _trial_arrays(disc.sgd_paths(self.drift, self.gamma, self.noise,
+                                            self.x0, self.n0, self.n_end, seeds))
+
+
+def _trial_arrays(paths) -> dict:
+    return {f"trial_{i}": path for i, path in enumerate(paths)}
 
 
 @dataclass(frozen=True)
@@ -190,7 +213,7 @@ class ExperimentConfig:
 @dataclass(eq=False)
 class DichotomyOutput:
     config: ExperimentConfig
-    classifier: ClassifierConfig
+    runner: ContinuousDichotomyRunner | DiscreteDichotomyRunner
     result: MCResult
     k: float
     gamma: float
@@ -199,70 +222,50 @@ class DichotomyOutput:
 
 
 def _runner_kind(config: ExperimentConfig) -> str:
-    if config.kind == "linear-dichotomy":
-        return "linear"
-    if config.kind == "monomial-dichotomy":
-        return "monomial"
-    if config.kind == "discrete-dichotomy":
-        return "discrete"
+    if config.kind.endswith("-dichotomy"):
+        return config.kind.removesuffix("-dichotomy")
     if config.model == "discrete":
         return "discrete"
     return "linear" if config.family == "linear" else "monomial"
 
 
 def _build_runner(config: ExperimentConfig, k: float, gamma: float):
+    """The runner of one cell: its model's spec, hypotheses and classifier.
+    Each spec is built before the classifier, so DriftSpec's k bound is
+    the one that rejects k."""
     kind = _runner_kind(config)
     if kind == "discrete":
+        drift = DriftSpec("monomial", k, config.c, config.cap)
+        if not 0.5 < gamma < 1.0:
+            raise ValueError("discrete dichotomy requires gamma in (1/2, 1) "
+                             "(step-size hypothesis)")
         n_end = config.n0 + config.steps
         cfg = discrete_classifier(k, gamma, config.n0, n_end,
                                   config.tail_fraction, config.eps_conv,
                                   config.barrier)
-        runner = DiscreteDichotomyRunner(
-            drift=DriftSpec("monomial", k, config.c, config.cap),
-            noise=disc.NoiseSpec(config.noise, config.noise_bound),
+        return DiscreteDichotomyRunner(
+            drift=drift, noise=disc.NoiseSpec(config.noise, config.noise_bound),
             gamma=gamma, x0=config.x0, n0=config.n0, n_end=n_end, cfg=cfg)
-        return runner, cfg
     if kind == "linear":
+        spec = ProcessSpec(DriftSpec("linear", k), NoiseSchedule("exp_half"),
+                           t0=config.t0, x0=config.x0)
         cfg = linear_classifier(k, config.x0, config.t0, config.horizon,
                                 config.tail_fraction, config.eps_conv,
                                 config.barrier)
-        spec = ProcessSpec(DriftSpec("linear", k), NoiseSchedule("exp_half"),
-                           t0=config.t0, x0=config.x0)
     else:
-        cfg = monomial_classifier(k, config.t0, config.horizon,
-                                  config.tail_fraction, config.eps_conv,
-                                  config.barrier)
-        schedule = NoiseSchedule("power_gamma" if config.raw_frame
-                                 else "power_transformed", gamma)
-        spec = ProcessSpec(DriftSpec("monomial", k, config.c, config.cap),
-                           schedule, t0=config.t0, x0=config.x0)
-    runner = ContinuousDichotomyRunner(spec=spec, t_end=config.horizon,
-                                       dt=config.dt, cfg=cfg)
-    return runner, cfg
-
-
-def _validate_hypotheses(config: ExperimentConfig, k: float, gamma: float):
-    kind = _runner_kind(config)
-    if kind == "linear":
-        if not k > 0:
-            raise ValueError("linear dichotomy requires k > 0 "
-                             "(drift lower-bound hypothesis)")
-        return
-    if kind == "monomial":
-        if not k > 1:
-            raise ValueError("monomial dichotomy requires k > 1 "
-                             "(degenerate-saddle hypothesis)")
+        drift = DriftSpec("monomial", k, config.c, config.cap)
         if not 0.5 < gamma < 1.0:
             raise ValueError("continuous power-clock dichotomy requires "
                              "gamma in (1/2, 1); gamma = 1 is the linear "
                              "exponential-clock regime")
-        return
-    if not k > 1:
-        raise ValueError("discrete dichotomy requires k > 1 "
-                         "(degenerate-saddle hypothesis)")
-    if not 0.5 < gamma < 1.0:
-        raise ValueError("discrete dichotomy requires gamma in (1/2, 1) "
-                         "(step-size hypothesis)")
+        schedule = NoiseSchedule("power_gamma" if config.raw_frame
+                                 else "power_transformed", gamma)
+        spec = ProcessSpec(drift, schedule, t0=config.t0, x0=config.x0)
+        cfg = monomial_classifier(k, config.t0, config.horizon,
+                                  config.tail_fraction, config.eps_conv,
+                                  config.barrier)
+    return ContinuousDichotomyRunner(spec=spec, t_end=config.horizon,
+                                     dt=config.dt, cfg=cfg)
 
 
 def run_dichotomy(config: ExperimentConfig, k: float | None = None,
@@ -272,14 +275,11 @@ def run_dichotomy(config: ExperimentConfig, k: float | None = None,
     k = config.k if k is None else k
     gamma = config.gamma if gamma is None else gamma
     base_seed = config.seed if base_seed is None else base_seed
-    _validate_hypotheses(config, k, gamma)
-    runner, cfg = _build_runner(config, k, gamma)
-    payload = {"runner": dataclasses.asdict(runner), "kind": config.kind,
-               "trials": config.trials}
+    runner = _build_runner(config, k, gamma)
     result = estimate_probability(runner, config.trials, base_seed,
-                                  jobs=config.jobs, payload=payload)
-    prediction, boundary = predict_regime(_runner_kind(config), k, gamma)
-    return DichotomyOutput(config=config, classifier=cfg, result=result,
+                                  jobs=config.jobs)
+    prediction, boundary = predict_regime(runner.model, k, gamma)
+    return DichotomyOutput(config=config, runner=runner, result=result,
                            k=k, gamma=gamma, prediction=prediction,
                            boundary=boundary)
 
@@ -315,8 +315,10 @@ def run_urn_experiment(config: ExperimentConfig) -> UrnOutput:
     spec = disc.UrnSpec(config.urn_f, value=config.urn_value,
                         table=config.urn_table, red0=config.urn_red0,
                         total0=config.urn_total0)
+    if config.trials < 1:
+        raise ValueError("need at least one trial")
     n_end = config.urn_total0 + config.steps
-    seeds = [derive_seed(config.seed, i) for i in range(config.trials)]
+    seeds = trial_seeds(config.seed, config.trials)
     finals = disc.urn_final_batch(spec, n_end, seeds)
     audit = disc.urn_as_sgd_check(spec, min(n_end, config.urn_total0 + 1000),
                                   seeds[0])

@@ -54,6 +54,7 @@ class NonFiniteStateError(RuntimeError):
         return type(self), (self.step_index,)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the first bad step is raised instead
 def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
           seeds=None, sample=None, scale=None, increments=None) -> np.ndarray:
     """Advance `state` in place through n_steps steps and return it.

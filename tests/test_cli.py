@@ -1,8 +1,14 @@
 import csv
 import json
 import os
+from types import SimpleNamespace
 
+import numpy as np
+import pytest
+
+from saddlelab.analysis import Outcome, classify
 from saddlelab.cli import build_parser, main, resolve_config
+from saddlelab.experiments import run_dichotomy
 
 FAST_SWEEP = ["sweep", "--model", "continuous", "--k-values", "2.0",
               "--gamma-values", "0.6,0.9", "--trials", "24",
@@ -145,6 +151,31 @@ class TestSimulateCommand:
                 traj = simulate_em(spec, grid, brownian_increments(grid, seed))
                 assert np.array_equal(cont[f"trial_{i}"], traj.values)
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "discrete", "--k", "2", "--gamma", "0.9", "--steps", "400"],
+        ["--k", "2", "--gamma", "0.9", "--horizon", "4", "--dt", "0.01"],
+    ], ids=["discrete", "continuous"])
+    def test_dumped_paths_tally_to_the_counts(self, argv, tmp_path):
+        # every trial is dumped, so classifying the dump must give the counts
+        argv = ["simulate", *argv, "--trials", "8", "--seed", "6", "--jobs", "1",
+                "--dump-trajectories", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        config = resolve_config(build_parser().parse_args(argv))
+        cfg = run_dichotomy(config).runner.cfg
+        tally = dict.fromkeys(Outcome, 0)
+        with np.load(tmp_path / "trajectories.npz") as dump:
+            n0 = config.n0
+            times = (dump["times"] if "times" in dump
+                     else np.arange(n0, n0 + config.steps + 1, dtype=float))
+            for i in range(config.trials):
+                path = SimpleNamespace(times=times, values=dump[f"trial_{i}"])
+                tally[classify(path, cfg)] += 1
+        row = read_csv(tmp_path / "simulate_results.csv")[1]
+        assert [int(v) for v in row[3:6]] == [tally[Outcome.CONVERGED],
+                                             tally[Outcome.ESCAPED],
+                                             tally[Outcome.UNDECIDED]]
+        assert sum(n > 0 for n in tally.values()) >= 2
+
     def test_continuous_linear(self, tmp_path):
         rc = main(["simulate", "--model", "continuous", "--family", "linear",
                    "--k", "0.8", "--x0", "-0.1", "--t0", "0.0",
@@ -201,15 +232,26 @@ class TestErrorPaths:
         rc = main(["validate", "--criterion", "99"])
         assert rc != 0
 
-    def test_non_finite_state_is_an_error_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, step", [
         # e^{0.8 t} growth on a 1000-long horizon leaves the float range
-        rc = main(["linear-dichotomy", "--k", "0.8", "--horizon", "1000",
-                   "--dt", "0.1", "--trials", "4", "--jobs", "1",
-                   "--out", str(tmp_path)])
+        (["linear-dichotomy", "--k", "0.8", "--horizon", "1000", "--dt", "0.1"],
+         9232),
+        # a cap of 1e200 lets x^2 overflow within a few steps from x0 = 5
+        (["discrete-dichotomy", "--k", "2", "--gamma", "0.6", "--cap", "1e200",
+          "--x0", "5", "--steps", "2000"], 11),
+    ], ids=["linear", "discrete"])
+    def test_non_finite_state_is_an_error_line(self, argv, step, tmp_path, capsys):
+        rc = main(argv + ["--trials", "4", "--jobs", "1", "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: non-finite state at step 9232")
+        assert err.startswith(f"error: non-finite state at step {step};")
         assert "Traceback" not in err
+
+    def test_urn_without_trials_is_an_error_line(self, tmp_path, capsys):
+        rc = main(["urn", "--trials", "0", "--steps", "10", "--jobs", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: need at least one trial\n"
 
 
 class TestJobsDefault:
