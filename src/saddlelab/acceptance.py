@@ -17,7 +17,7 @@ import numpy as np
 from . import continuous as cont
 from . import discrete as disc
 from .analysis import (Outcome, moment_compare, never_return_alpha,
-                       remaining_variance, wilson_interval)
+                       remaining_variance, trial_seeds, wilson_interval)
 from .experiments import ExperimentConfig, run_dichotomy
 from .model import DriftSpec, NoiseSchedule, ProcessSpec
 from .rng import derive_seed, make_rng
@@ -167,8 +167,7 @@ def _em_final_values(k: float, x0: float, t_end: float, dt: float,
     spec = ProcessSpec(DriftSpec("linear", k), NoiseSchedule("exp_half"),
                        t0=0.0, x0=x0)
     grid = cont.TimeGrid(0.0, t_end, dt)
-    seeds = [derive_seed(seed, i) for i in range(n_paths)]
-    return cont.em_batch(spec, grid, seeds).final
+    return cont.em_batch(spec, grid, trial_seeds(seed, n_paths)).final
 
 
 def criterion_6_exact_vs_em() -> tuple[bool, str]:

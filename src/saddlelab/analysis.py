@@ -39,8 +39,6 @@ __all__ = [
     "remaining_variance",
     "moment_compare",
     "MomentReport",
-    "verify_dominance",
-    "DominanceReport",
 ]
 
 _NORMAL = NormalDist()
@@ -238,51 +236,3 @@ def moment_compare(samples_a, samples_b, threshold: float = 4.0) -> MomentReport
     var_z = 0.0 if se_var == 0 else (va - vb) / se_var
     return MomentReport(mean_a=ma, mean_b=mb, var_a=va, var_b=vb,
                         mean_z=mean_z, var_z=var_z, threshold=threshold)
-
-
-@dataclass(frozen=True)
-class DominanceReport:
-    """Pathwise ordering check for a coupled pair sharing one noise path."""
-
-    n_nodes: int
-    tie: bool
-    first_violation: int | None
-    max_shortfall: float
-    lipschitz_bound: float | None
-    step_lipschitz: float | None
-    monotone_precondition_ok: bool | None
-
-    @property
-    def ordered(self) -> bool:
-        return self.first_violation is None
-
-
-def verify_dominance(traj_a, traj_b, drift_a=None, drift_b=None,
-                     dt: float | None = None) -> DominanceReport:
-    """Report the first node where values_a >= values_b fails, plus the
-    step-size margin: the EM step map is monotone when Lip(f) * dt <= 1/2,
-    which is what guarantees ordering is preserved exactly."""
-    va = np.asarray(traj_a.values, dtype=float)
-    vb = np.asarray(traj_b.values, dtype=float)
-    if len(va) != len(vb):
-        raise ValueError("trajectories must share the grid")
-    diff = va - vb
-    bad = np.flatnonzero(diff < 0.0)
-    first = int(bad[0]) if len(bad) else None
-    shortfall = float(-diff.min()) if len(bad) else 0.0
-    tie = bool(np.all(diff == 0.0))
-    lip = None
-    step_lip = None
-    precondition = None
-    if drift_a is not None and drift_b is not None:
-        reach = float(max(np.abs(va).max(), np.abs(vb).max()))
-        lip = max(drift_a.slope_bound(reach), drift_b.slope_bound(reach))
-        if dt is None and getattr(traj_a, "grid", None) is not None:
-            dt = traj_a.grid.dt
-        if dt is not None:
-            step_lip = lip * dt
-            precondition = step_lip <= 0.5
-    return DominanceReport(n_nodes=len(va), tie=tie, first_violation=first,
-                           max_shortfall=shortfall, lipschitz_bound=lip,
-                           step_lipschitz=step_lip,
-                           monotone_precondition_ok=precondition)

@@ -97,8 +97,10 @@ def load_config_file(path: str) -> dict:
     with open(p) as fh:
         data = json.load(fh)
     # a manifest is accepted anywhere a config is: unwrap its snapshot
-    if "config" in data and "artifact_version" in data:
+    if isinstance(data, dict) and "config" in data and "artifact_version" in data:
         data = data["config"]
+    if not isinstance(data, dict):
+        raise ValueError(f"config file {p} must hold a JSON object")
     return data
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "simulate_em",
     "simulate_coupled",
     "quadratic_variation",
-    "simulate_linear_exact",
     "linear_exact_batch",
     "linear_hit_zero_mc",
     "em_batch",
@@ -90,7 +89,6 @@ class BrownianPath:
 
     grid: TimeGrid
     increments: np.ndarray
-    seed: int
 
     def __post_init__(self):
         if len(self.increments) != self.grid.n_steps:
@@ -99,25 +97,16 @@ class BrownianPath:
     @classmethod
     def zeros(cls, grid: TimeGrid) -> "BrownianPath":
         """Noise-free path, for ODE-reduction checks."""
-        return cls(grid=grid, increments=np.zeros(grid.n_steps), seed=0)
+        return cls(grid=grid, increments=np.zeros(grid.n_steps))
 
 
 @dataclass(eq=False)
 class Trajectory:
-    """Sampled states along a time grid plus the seed that produced them.
-
-    frame records which clock the values live in ("raw", "transformed-exp"
-    or "transformed-power").  first_zero_crossing is set by the exact linear
-    sampler: the branch solution represents the |x|-drift dynamics only up
-    to that node, so callers truncate there when that reading is intended.
-    """
+    """The states of one path and their times on the run's own clock: the
+    grid times of an SDE path, or n for the recursion and the urn."""
 
     times: np.ndarray
     values: np.ndarray
-    seed: int
-    frame: str
-    grid: TimeGrid | None = None
-    first_zero_crossing: int | None = None
 
     def __post_init__(self):
         if len(self.times) != len(self.values):
@@ -129,7 +118,7 @@ def brownian_increments(grid: TimeGrid, seed: int) -> BrownianPath:
     same draws em_batch makes for that seed."""
     z = make_rng(seed).standard_normal(grid.n_steps)
     dw = z * np.sqrt(grid.step_sizes())
-    return BrownianPath(grid=grid, increments=dw, seed=int(seed))
+    return BrownianPath(grid=grid, increments=dw)
 
 
 def _em_coefficients(noise: NoiseSchedule, grid: TimeGrid):
@@ -161,6 +150,17 @@ def _standard_normal(gen: np.random.Generator, size: int) -> np.ndarray:
     return gen.standard_normal(size)
 
 
+def _path_increments(noise: NoiseSchedule, grid: TimeGrid,
+                     path: BrownianPath) -> np.ndarray:
+    """The path's increments as one trial's row, once they fit the grid."""
+    if path.grid != grid:
+        raise ValueError("path was drawn on a different grid")
+    if grid.t0 < noise.min_t0:
+        raise ValueError(f"grid starts before t0 = {noise.min_t0} "
+                         f"allowed by schedule {noise.kind!r}")
+    return path.increments.reshape(1, -1)
+
+
 def simulate_em(spec: ProcessSpec, grid: TimeGrid, path: BrownianPath) -> Trajectory:
     """Euler-Maruyama: x_{i+1} = x_i + f(x_i) w(t_i) dt_i + g(t_i) dW_i.
 
@@ -168,15 +168,10 @@ def simulate_em(spec: ProcessSpec, grid: TimeGrid, path: BrownianPath) -> Trajec
     transformed clocks).  Raises NonFiniteStateError with the offending
     step index if the state leaves the floating-point range.
     """
-    if path.grid != grid:
-        raise ValueError("path was drawn on a different grid")
-    if grid.t0 < spec.noise.min_t0:
-        raise ValueError(f"grid starts before t0 = {spec.noise.min_t0} "
-                         f"allowed by schedule {spec.noise.kind!r}")
     record = Record((1,), grid.n_steps)
-    _em_drive(spec, grid, [record], increments=path.increments.reshape(1, -1))
-    return Trajectory(times=grid.times(), values=record.value[0], seed=path.seed,
-                      frame=spec.noise.frame, grid=grid)
+    _em_drive(spec, grid, [record],
+              increments=_path_increments(spec.noise, grid, path))
+    return Trajectory(grid.times(), record.value[0])
 
 
 def em_paths(spec: ProcessSpec, grid: TimeGrid, seeds) -> np.ndarray:
@@ -204,24 +199,14 @@ def em_batch(spec: ProcessSpec, grid: TimeGrid, seeds,
     return extremes
 
 
-def simulate_coupled(spec_a: ProcessSpec, spec_b: ProcessSpec,
-                     x0_a: float, x0_b: float,
-                     grid: TimeGrid, path: BrownianPath) -> tuple[Trajectory, Trajectory]:
-    """Two EM trajectories driven by the identical Brownian increments."""
+def _coupled_drive(spec_a: ProcessSpec, spec_b: ProcessSpec, x0_a: float,
+                   x0_b: float, grid: TimeGrid, observers, seeds=None,
+                   increments=None) -> np.ndarray:
+    """EM pairs driven by one noise per trial (a seed, or a row of
+    increments): row 0 of the state runs spec_a's drift from x0_a, row 1
+    spec_b's from x0_b, each with _em_drive's update."""
     if spec_a.noise != spec_b.noise:
         raise ValueError("coupled processes must share one noise schedule")
-    a = simulate_em(ProcessSpec(spec_a.drift, spec_a.noise, grid.t0, x0_a), grid, path)
-    b = simulate_em(ProcessSpec(spec_b.drift, spec_b.noise, grid.t0, x0_b), grid, path)
-    return a, b
-
-
-def coupled_violations_batch(spec_a: ProcessSpec, spec_b: ProcessSpec,
-                             x0_a: float, x0_b: float, grid: TimeGrid,
-                             seeds) -> np.ndarray:
-    """First node index where the A >= B ordering fails, per trial (-1: none)."""
-    if spec_a.noise != spec_b.noise:
-        raise ValueError("coupled processes must share one noise schedule")
-    seeds = np.asarray(list(seeds), dtype=np.uint64)
     wdt, g, sqrt_dt = _em_coefficients(spec_a.noise, grid)
     drift_a, drift_b = spec_a.drift, spec_b.drift
 
@@ -230,11 +215,31 @@ def coupled_violations_batch(spec_a: ProcessSpec, spec_b: ProcessSpec,
         x[0] += drift_eval(drift_a, x[0]) * wdt[step] + noise
         x[1] += drift_eval(drift_b, x[1]) * wdt[step] + noise
 
-    state = np.empty((2, len(seeds)))
+    state = np.empty((2, len(seeds) if increments is None else len(increments)))
     state[0], state[1] = x0_a, x0_b
+    return drive(state, grid.n_steps, update, observers, seeds=seeds,
+                 sample=_standard_normal, scale=sqrt_dt, increments=increments)
+
+
+def simulate_coupled(spec_a: ProcessSpec, spec_b: ProcessSpec,
+                     x0_a: float, x0_b: float,
+                     grid: TimeGrid, path: BrownianPath) -> tuple[Trajectory, Trajectory]:
+    """Two EM trajectories driven by the identical Brownian increments; the
+    pair equals coupled_violations_batch's trial on the same noise."""
+    record = Record((2, 1), grid.n_steps)
+    _coupled_drive(spec_a, spec_b, x0_a, x0_b, grid, [record],
+                   increments=_path_increments(spec_a.noise, grid, path))
+    times = grid.times()
+    return Trajectory(times, record.value[0, 0]), Trajectory(times, record.value[1, 0])
+
+
+def coupled_violations_batch(spec_a: ProcessSpec, spec_b: ProcessSpec,
+                             x0_a: float, x0_b: float, grid: TimeGrid,
+                             seeds) -> np.ndarray:
+    """First node index where the A >= B ordering fails, per trial (-1: none)."""
+    seeds = np.asarray(list(seeds), dtype=np.uint64)
     first = FirstViolation(len(seeds))
-    drive(state, grid.n_steps, update, [first], seeds=seeds,
-          sample=_standard_normal, scale=sqrt_dt)
+    _coupled_drive(spec_a, spec_b, x0_a, x0_b, grid, [first], seeds=seeds)
     return first.value
 
 
@@ -293,6 +298,8 @@ def linear_exact_batch(k: float, regime: str, x_s, s: float,
     the crossing and the caller truncates there when that is intended.
     """
     times = np.asarray(times, dtype=float)
+    if not len(times):
+        raise ValueError("need at least one query time")
     if times[0] < s:
         raise ValueError("query times must start at or after s")
     if np.any(np.diff(times) <= 0):
@@ -312,29 +319,6 @@ def linear_exact_batch(k: float, regime: str, x_s, s: float,
     any_cross = crossed.any(axis=1)
     first = np.where(any_cross, crossed.argmax(axis=1), -1)
     return values, first.astype(np.int64)
-
-
-def simulate_linear_exact(k: float, regime: str, x_s: float, s: float,
-                          times, seed: int) -> Trajectory:
-    """One exact path of the branch solution; marks the first sign change."""
-    times = np.asarray(times, dtype=float)
-    starts_at_s = len(times) > 0 and times[0] == s
-    body = times[1:] if starts_at_s else times
-    if len(body):
-        values, first = linear_exact_batch(k, regime, x_s, s, body, 1, seed)
-        vals = values[0]
-        cross = int(first[0])
-    else:
-        vals = np.empty(0)
-        cross = -1
-    if starts_at_s:
-        vals = np.concatenate(([x_s], vals))
-        if cross >= 0:
-            cross += 1
-    crossing = None if cross < 0 else cross
-    return Trajectory(times=times, values=vals, seed=int(seed),
-                      frame="transformed-exp", grid=None,
-                      first_zero_crossing=crossing)
 
 
 def gaussian_clock(k: float, s: float, t) -> np.ndarray:

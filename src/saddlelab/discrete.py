@@ -28,15 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .continuous import Trajectory
 from .model import DriftSpec, MeanFlowFrame, drift_eval, mean_flow_h
 from .rng import Extremes, Record, drive
 from .rng import make_rng  # noqa: F401  (bench/tracing.py wraps discrete.make_rng)
 
 __all__ = [
     "NoiseSpec",
-    "DiscreteTrajectory",
     "UrnSpec",
-    "UrnRun",
     "UrnSgdReport",
     "simulate_sgd",
     "sgd_batch",
@@ -83,23 +82,6 @@ class NoiseSpec:
         return rng.uniform(-self.M, self.M, size=size)
 
 
-@dataclass(eq=False)
-class DiscreteTrajectory:
-    """States X_{n0..n_end} of the discrete recursion plus the seed."""
-
-    n0: int
-    values: np.ndarray
-    seed: int
-
-    @property
-    def n_end(self) -> int:
-        return self.n0 + len(self.values) - 1
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n0, self.n0 + len(self.values), dtype=float)
-
-
 def _effective_drift(drift: DriftSpec, x, shrink_exponent: float | None):
     """f(x), optionally shrunk to min(f(x), |x|^p) for the '<=' recursion form."""
     f = drift_eval(drift, x)
@@ -133,15 +115,16 @@ def _sgd_drive(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: floa
 
 def simulate_sgd(drift: DriftSpec, gamma: float, noise: NoiseSpec | None,
                  x0: float, n0: int, n_end: int, seed: int,
-                 shrink_exponent: float | None = None) -> DiscreteTrajectory:
-    """Run X_{n+1} = X_n + f(X_n)/n^gamma + Y_{n+1}/n^gamma for n = n0..n_end-1.
+                 shrink_exponent: float | None = None) -> Trajectory:
+    """Run X_{n+1} = X_n + f(X_n)/n^gamma + Y_{n+1}/n^gamma for n = n0..n_end-1;
+    the trajectory's times are n = n0..n_end.
 
     noise=None runs the noise-free recursion.  shrink_exponent p replaces
     the drift by min(f(x), |x|^p), the substitution used to realize the
     '<=' form of the recursion.
     """
     values = sgd_paths(drift, gamma, noise, x0, n0, n_end, [seed], shrink_exponent)
-    return DiscreteTrajectory(n0=n0, values=values[0], seed=int(seed))
+    return Trajectory(np.arange(n0, n_end + 1, dtype=float), values[0])
 
 
 def sgd_paths(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: float,
@@ -213,22 +196,6 @@ class UrnSpec:
         return out if out.ndim else float(out)
 
 
-@dataclass(eq=False)
-class UrnRun:
-    """Urn trajectory with its stochastic-approximation decomposition.
-
-    values[j] = X_n at n = total0 + j (ratio of exact integer counts);
-    drift_part[j] = (f(X_n) - X_n)/(n+1) and noise_part[j] = g_n/(n+1)
-    so that X_{n+1} - X_n = drift_part[j] + noise_part[j] exactly in real
-    arithmetic.
-    """
-
-    spec: UrnSpec
-    trajectory: DiscreteTrajectory
-    drift_part: np.ndarray
-    noise_part: np.ndarray
-
-
 def _uniform(gen: np.random.Generator, size: int) -> np.ndarray:
     return gen.random(size)
 
@@ -247,22 +214,16 @@ def _urn_red_counts(spec: UrnSpec, n_end: int, seeds, observers=()) -> np.ndarra
                  observers, seeds=seeds, sample=_uniform)
 
 
-def simulate_urn(spec: UrnSpec, n_end: int, seed: int) -> UrnRun:
-    """Exact urn dynamics on integer ball counts, deterministic in seed."""
+def simulate_urn(spec: UrnSpec, n_end: int, seed: int) -> Trajectory:
+    """Exact urn dynamics on integer ball counts, deterministic in seed: the
+    red fraction X_n (a ratio of exact counts) at times n = total0..n_end."""
     n0 = spec.total0
     if not n_end > n0:
         raise ValueError("n_end must exceed the starting ball count")
     record = Record((1,), n_end - n0)
     _urn_red_counts(spec, n_end, [seed], [record])
-    red = record.value[0]
     total = np.arange(n0, n_end + 1, dtype=float)
-    values = red / total
-    fx = np.asarray(spec.f(values[:-1]), dtype=float)
-    g = np.where(np.diff(red) > 0, 1.0 - fx, -fx)
-    traj = DiscreteTrajectory(n0=n0, values=values, seed=int(seed))
-    return UrnRun(spec=spec, trajectory=traj,
-                  drift_part=(fx - values[:-1]) / (total[:-1] + 1),
-                  noise_part=g / (total[:-1] + 1))
+    return Trajectory(total, record.value[0] / total)
 
 
 def urn_final_batch(spec: UrnSpec, n_end: int, seeds) -> np.ndarray:
@@ -275,10 +236,8 @@ def urn_final_batch(spec: UrnSpec, n_end: int, seeds) -> np.ndarray:
 class UrnSgdReport:
     """Pathwise comparison of the urn against its drift+noise decomposition."""
 
-    n_steps: int
     max_abs_gap: float
     first_divergence: int | None
-    tolerance: float
 
     @property
     def pathwise_equal(self) -> bool:
@@ -308,9 +267,8 @@ def urn_as_sgd_check(spec: UrnSpec, n_end: int, seed: int,
     red, x_dec = record.value[:, 0, 1:]
     gap = np.abs(red / np.arange(n0 + 1, n_end + 1) - x_dec)
     over = np.flatnonzero(gap > tolerance)
-    return UrnSgdReport(n_steps=steps, max_abs_gap=float(gap.max(initial=0.0)),
-                        first_divergence=int(n0 + 1 + over[0]) if len(over) else None,
-                        tolerance=tolerance)
+    return UrnSgdReport(max_abs_gap=float(gap.max(initial=0.0)),
+                        first_divergence=int(n0 + 1 + over[0]) if len(over) else None)
 
 
 def step_correction(frame: MeanFlowFrame, n) -> np.ndarray:
@@ -328,7 +286,7 @@ def step_correction(frame: MeanFlowFrame, n) -> np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def z_diagnostics(traj: DiscreteTrajectory, frame: MeanFlowFrame):
+def z_diagnostics(traj: Trajectory, frame: MeanFlowFrame):
     """Z_n = -X_n/h(n) for n0..n_end and a_n for n0..n_end-1."""
     n = traj.times
     z = -traj.values / mean_flow_h(frame, n)

@@ -199,15 +199,41 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        unknown = sorted(set(data) - set(defaults))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         data = dict(data)
-        for key in ("k_values", "gamma_values", "urn_table"):
-            if key in data:
-                data[key] = tuple(data[key])
+        for key, value in data.items():
+            expected = _type_mismatch(defaults[key], value)
+            if expected:
+                raise ValueError(f"config key {key!r} must be {expected}, "
+                                 f"got {value!r}")
+            if isinstance(value, list):
+                data[key] = tuple(value)
         return cls(**data)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _type_mismatch(default, value) -> str | None:
+    """What a config value must be, given its field's default, when value is
+    not that; None when it is."""
+    if isinstance(default, bool):
+        return None if isinstance(value, bool) else "true or false"
+    if isinstance(default, int):
+        return (None if isinstance(value, int) and not isinstance(value, bool)
+                else "an integer")
+    if isinstance(default, float):
+        return None if _is_number(value) else "a number"
+    if default is None:
+        return None if value is None or _is_number(value) else "a number or null"
+    if isinstance(default, str):
+        return None if isinstance(value, str) else "a string"
+    ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
+    return None if ok else "a list of numbers"
 
 
 @dataclass(eq=False)

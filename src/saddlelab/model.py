@@ -77,13 +77,6 @@ class DriftSpec:
             if not self.cap > 0:
                 raise ValueError("monomial drift requires cap > 0")
 
-    def slope_bound(self, x_max: float) -> float:
-        """Lipschitz bound of f on {|x| <= x_max} (monomial slope stops at cap)."""
-        if self.family == LINEAR:
-            return self.k
-        reach = min(abs(x_max), self.cap)
-        return self.c * self.k * reach ** (self.k - 1.0)
-
 
 def drift_eval(spec: DriftSpec, x):
     """Evaluate f at x (scalar or ndarray); even in x and nonnegative."""
@@ -130,14 +123,6 @@ class NoiseSchedule:
     def min_t0(self) -> float:
         # power clocks are singular at 0; the exponential clock starts at 0
         return 0.0 if self.kind == EXP_HALF else 1.0
-
-    @property
-    def frame(self) -> str:
-        if self.kind == POWER_GAMMA:
-            return "raw"
-        if self.kind == EXP_HALF:
-            return "transformed-exp"
-        return "transformed-power"
 
 
 @dataclass(frozen=True)

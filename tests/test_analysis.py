@@ -7,11 +7,10 @@ import pytest
 from saddlelab.analysis import (ClassifierConfig, MCResult, Outcome, classify,
                                 classify_stats, estimate_probability,
                                 moment_compare, never_return_alpha,
-                                remaining_variance, verify_dominance,
-                                wilson_interval)
+                                remaining_variance, wilson_interval)
 from saddlelab.continuous import (BrownianPath, TimeGrid, Trajectory,
                                   brownian_increments, linear_exact_batch,
-                                  em_batch, simulate_coupled, simulate_em)
+                                  em_batch, simulate_em)
 from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec, predict_regime
 from saddlelab.rng import derive_seed, make_rng
 
@@ -20,7 +19,7 @@ CFG = ClassifierConfig(eps_conv=0.05, barrier=3.0, tail_fraction=0.2)
 
 def traj_from(times, values):
     return Trajectory(times=np.asarray(times, float),
-                      values=np.asarray(values, float), seed=0, frame="raw")
+                      values=np.asarray(values, float))
 
 
 class TestClassifier:
@@ -257,51 +256,6 @@ class TestMomentCompare:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             moment_compare([], [1.0])
-
-
-class TestVerifyDominance:
-    def grid_and_path(self, seed=15):
-        grid = TimeGrid(0.0, 3.0, 1e-3)
-        return grid, brownian_increments(grid, seed)
-
-    def test_tie_reported(self):
-        grid, path = self.grid_and_path()
-        spec = ProcessSpec(DriftSpec("linear", 0.5), NoiseSchedule("exp_half"),
-                           t0=0.0, x0=-0.3)
-        a, b = simulate_coupled(spec, spec, -0.3, -0.3, grid, path)
-        report = verify_dominance(a, b, spec.drift, spec.drift)
-        assert report.tie
-        assert report.ordered
-
-    def test_ordered_pair_with_margin(self):
-        grid, path = self.grid_and_path()
-        sa = ProcessSpec(DriftSpec("linear", 0.8), NoiseSchedule("exp_half"),
-                         t0=0.0, x0=-0.4)
-        sb = ProcessSpec(DriftSpec("linear", 0.3), NoiseSchedule("exp_half"),
-                         t0=0.0, x0=-0.5)
-        a, b = simulate_coupled(sa, sb, -0.4, -0.5, grid, path)
-        report = verify_dominance(a, b, sa.drift, sb.drift)
-        assert report.ordered and not report.tie
-        assert report.first_violation is None
-        assert report.monotone_precondition_ok
-        assert report.step_lipschitz == pytest.approx(0.8 * 1e-3)
-
-    def test_oversized_dt_flags_precondition(self):
-        grid = TimeGrid(0.0, 10.0, 2.0)
-        path = brownian_increments(grid, 3)
-        sa = ProcessSpec(DriftSpec("linear", 0.8), NoiseSchedule("exp_half"),
-                         t0=0.0, x0=-0.4)
-        sb = ProcessSpec(DriftSpec("linear", 0.3), NoiseSchedule("exp_half"),
-                         t0=0.0, x0=-0.5)
-        a, b = simulate_coupled(sa, sb, -0.4, -0.5, grid, path)
-        report = verify_dominance(a, b, sa.drift, sb.drift)
-        assert report.monotone_precondition_ok is False
-
-    def test_mismatched_grids_rejected(self):
-        a = traj_from([0, 1], [0, 1])
-        b = traj_from([0, 1, 2], [0, 1, 2])
-        with pytest.raises(ValueError):
-            verify_dominance(a, b)
 
 
 class TestPhasePrediction:

@@ -222,6 +222,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "gamm" in err and "bogus" in err
 
+    @pytest.mark.parametrize("command, content, named", [
+        ("monomial-dichotomy", {"trials": "10"}, "'trials' must be an integer"),
+        ("monomial-dichotomy", {"trials": True}, "'trials' must be an integer"),
+        ("sweep", {"k_values": 2.0}, "'k_values' must be a list of numbers"),
+        ("simulate", [{"trials": 4}], "must hold a JSON object"),
+    ], ids=["string-int", "bool-int", "scalar-list", "top-level-list"])
+    def test_malformed_config_is_an_error_line(self, command, content, named,
+                                               tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        rc = main([command, "--config", str(bad), "--jobs", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
+
     def test_out_of_range_gamma_names_hypothesis(self, capsys):
         rc = main(["discrete-dichotomy", "--gamma", "0.3", "--trials", "2",
                    "--steps", "50", "--jobs", "1"])

@@ -8,8 +8,7 @@ from saddlelab.continuous import (BrownianPath, NonFiniteStateError, TimeGrid,
                                   coupled_violations_batch, em_batch,
                                   gaussian_clock, linear_exact_batch,
                                   linear_hit_zero_mc, quadratic_variation,
-                                  simulate_coupled, simulate_em,
-                                  simulate_linear_exact)
+                                  simulate_coupled, simulate_em)
 from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
 from saddlelab.rng import derive_seed
 
@@ -107,7 +106,7 @@ class TestBrownian:
     def test_wrong_grid_rejected(self):
         grid = TimeGrid(0.0, 1.0, 0.1)
         with pytest.raises(ValueError):
-            BrownianPath(grid, np.zeros(3), 0)
+            BrownianPath(grid, np.zeros(3))
 
 
 class TestEulerMaruyama:
@@ -265,12 +264,24 @@ class TestCoupling:
                 -0.5, -0.5, grid, path)
 
     def test_batch_ordering_matches_trajectories(self):
-        grid = TimeGrid(0.0, 2.0, 1e-3)
-        seeds = [derive_seed(55, i) for i in range(20)]
-        first = coupled_violations_batch(linear_spec(0.8, -0.5),
-                                         linear_spec(0.3, -0.5),
-                                         -0.5, -0.5, grid, seeds)
-        assert np.all(first == -1)
+        # (k_a, k_b, x0_a, x0_b, grid, trials, every trial's first violation):
+        # an ordered pair; equal drifts with Lip * dt = 1.6 > 1/2, whose EM
+        # step map is not monotone, so the lower start overtakes at node 1;
+        # the same pair with swapped starts, unordered from node 0
+        cases = [(0.8, 0.3, -0.5, -0.5, TimeGrid(0.0, 2.0, 1e-3), 20, -1),
+                 (0.8, 0.8, -0.4, -0.5, TimeGrid(0.0, 20.0, 2.0), 50, 1),
+                 (0.8, 0.8, -0.5, -0.4, TimeGrid(0.0, 20.0, 2.0), 50, 0)]
+        for k_a, k_b, x0_a, x0_b, grid, trials, expected in cases:
+            spec_a, spec_b = linear_spec(k_a, x0_a), linear_spec(k_b, x0_b)
+            seeds = [derive_seed(55, i) for i in range(trials)]
+            first = coupled_violations_batch(spec_a, spec_b, x0_a, x0_b, grid,
+                                             seeds)
+            for s, got in zip(seeds, first):
+                a, b = simulate_coupled(spec_a, spec_b, x0_a, x0_b, grid,
+                                        brownian_increments(grid, s))
+                bad = np.flatnonzero(a.values < b.values)
+                assert got == (bad[0] if len(bad) else -1)
+            assert np.all(first == expected)
 
 
 class TestQuadraticVariation:
@@ -306,8 +317,8 @@ class TestQuadraticVariation:
 
 class TestLinearExact:
     def test_query_at_start_returns_start(self):
-        traj = simulate_linear_exact(0.3, "negative", -0.7, 1.0, [1.0, 2.0], 9)
-        assert traj.values[0] == -0.7
+        values, _ = linear_exact_batch(0.3, "negative", -0.7, 1.0, [1.0, 2.0], 1, 9)
+        assert values[0, 0] == -0.7
 
     def test_negative_branch_mean(self):
         k, x_s, t = 0.3, -1.0, 2.0
@@ -358,17 +369,19 @@ class TestLinearExact:
     def test_first_crossing_reported_and_truncation_point(self):
         # k > 1/2: crossing is certain over a long window
         times = np.linspace(0.5, 20.0, 40)
-        traj = simulate_linear_exact(0.8, "negative", -0.05, 0.0, times, 2)
-        assert traj.first_zero_crossing is not None
-        idx = traj.first_zero_crossing
-        assert traj.values[idx] >= 0.0
-        assert np.all(traj.values[:idx] < 0.0)
+        values, first = linear_exact_batch(0.8, "negative", -0.05, 0.0, times, 1, 2)
+        idx = first[0]
+        assert idx >= 0
+        assert values[0, idx] >= 0.0
+        assert np.all(values[0, :idx] < 0.0)
 
     def test_monotone_time_validation(self):
         with pytest.raises(ValueError):
             linear_exact_batch(0.3, "negative", -1.0, 0.0, [2.0, 1.0], 10, 0)
         with pytest.raises(ValueError):
             linear_exact_batch(0.3, "sideways", -1.0, 0.0, [1.0], 10, 0)
+        with pytest.raises(ValueError):
+            linear_exact_batch(0.3, "negative", -1.0, 0.0, [], 10, 0)
 
 
 class TestHitZero:

@@ -33,30 +33,24 @@ class TestUrnDynamics:
     def test_always_add_red_converges_to_one(self):
         run = simulate_urn(UrnSpec("constant", value=1.0, red0=1, total0=2),
                            1000, 0)
-        vals = run.trajectory.values
-        n = run.trajectory.times
+        vals = run.values
+        n = run.times
         # one red of two, then every ball red: X_n = (n-1)/n, increasing to 1
         assert np.array_equal(vals, (n - 1.0) / n)
         assert np.all(np.diff(vals) > 0)
 
     def test_state_stays_inside_unit_interval(self):
         run = simulate_urn(UrnSpec("identity", red0=1, total0=3), 5000, 8)
-        assert np.all(run.trajectory.values > 0.0)
-        assert np.all(run.trajectory.values < 1.0)
+        assert np.all(run.values > 0.0)
+        assert np.all(run.values < 1.0)
 
     def test_values_are_exact_integer_ratios(self):
         run = simulate_urn(UrnSpec("identity", red0=2, total0=5), 500, 4)
-        vals = run.trajectory.values
-        totals = run.trajectory.times
+        vals = run.values
+        totals = run.times
         reds = vals * totals
         assert np.allclose(reds, np.round(reds), atol=1e-9)
         assert np.array_equal(vals, np.round(reds) / totals)
-
-    def test_decomposition_sums_to_step(self):
-        run = simulate_urn(UrnSpec("identity", red0=2, total0=5), 300, 12)
-        vals = run.trajectory.values
-        recon = vals[:-1] + run.drift_part + run.noise_part
-        assert np.allclose(recon, vals[1:], atol=1e-14)
 
     def test_determinism_and_batch_equality(self):
         spec = UrnSpec("power", value=2.0, red0=3, total0=7)
@@ -64,7 +58,7 @@ class TestUrnDynamics:
         finals = urn_final_batch(spec, 2000, seeds)
         for i, s in enumerate(seeds):
             run = simulate_urn(spec, 2000, s)
-            assert run.trajectory.values[-1] == finals[i]
+            assert run.values[-1] == finals[i]
 
 
 class TestUrnAsSgd:
