@@ -265,7 +265,9 @@ def criterion_9_urn() -> tuple[bool, str]:
 
 
 def criterion_10_reproducibility() -> tuple[bool, str]:
+    import contextlib
     import filecmp
+    import io
     import tempfile
     from pathlib import Path
 
@@ -280,13 +282,16 @@ def criterion_10_reproducibility() -> tuple[bool, str]:
     counts_ok = first.result.counts == again.result.counts
     with tempfile.TemporaryDirectory() as tmp:
         out1, out8 = Path(tmp) / "j1", Path(tmp) / "j8"
-        # 600 trials > 2 blocks, so --jobs 8 really schedules onto the pool
+        # 2 cells x 600 trials make more than one block, so --jobs 8 really
+        # schedules onto the pool
         argv = ["sweep", "--model", "continuous", "--k-values", "2.0",
                 "--gamma-values", "0.6,0.9", "--trials", "600",
                 "--horizon", "30.0", "--dt", "0.01", "--x0", "-0.2",
                 "--seed", str(BASE_SEED)]
-        rc1 = main(argv + ["--jobs", "1", "--out", str(out1)])
-        rc8 = main(argv + ["--jobs", "8", "--out", str(out8)])
+        # the sweeps' own cell lines are not part of this criterion's output
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc1 = main(argv + ["--jobs", "1", "--out", str(out1)])
+            rc8 = main(argv + ["--jobs", "8", "--out", str(out8)])
         same = filecmp.cmp(out1 / "sweep_results.csv",
                            out8 / "sweep_results.csv", shallow=False)
     ok = counts_ok and rc1 == 0 and rc8 == 0 and same

@@ -23,6 +23,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from . import rng
 from .rng import derive_seed
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "classify",
     "classify_stats",
     "wilson_interval",
+    "block_width",
     "estimate_probability",
     "never_return_alpha",
     "remaining_variance",
@@ -42,9 +44,6 @@ __all__ = [
 ]
 
 _NORMAL = NormalDist()
-
-TRIAL_BLOCK = 256  # fixed partition width; jobs only changes concurrency
-
 
 class Outcome(enum.Enum):
     CONVERGED = "converged"
@@ -150,33 +149,55 @@ def trial_seeds(base_seed: int, n_trials: int) -> np.ndarray:
                     dtype=np.uint64)
 
 
+def block_width(n_total: int, jobs: int) -> int:
+    """Trials per block, at most rng.TRIAL_CAP (the widest set the driver
+    steps at once): one job runs blocks that wide, since every step costs
+    the same fixed overhead whatever its width; more jobs split the
+    n_total trials into two blocks per worker, so that a worker whose
+    block ends early takes another."""
+    blocks = 1 if jobs == 1 else 2 * jobs
+    return min(rng.TRIAL_CAP, math.ceil(n_total / blocks))
+
+
 def _run_block(args):
     runner, seeds = args
     return runner(seeds)
 
 
-def estimate_probability(runner, n_trials: int, base_seed: int,
-                         jobs: int = 1) -> MCResult:
+def estimate_probability(runner, n_trials: int, base_seed, jobs: int = 1):
     """Run n_trials independent trials and count outcomes.
 
     runner maps an array of per-trial seeds to a sequence of Outcomes; the
     seeds are trial_seeds(base_seed, n_trials), so counts do not depend on
-    block boundaries or on how many workers execute them.
+    block boundaries or on how many workers execute them.  A sweep passes
+    a list of runners with a list of base seeds, one per cell, and gets a
+    list of MCResults back: every cell's blocks then share one pool.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    seeds = trial_seeds(base_seed, n_trials)
-    blocks = [seeds[a:a + TRIAL_BLOCK] for a in range(0, n_trials, TRIAL_BLOCK)]
-    if jobs > 1 and len(blocks) > 1:
+    if jobs < 1:
+        raise ValueError("need at least one job")
+    cells = (list(zip(runner, base_seed)) if isinstance(runner, list)
+             else [(runner, base_seed)])
+    width = block_width(len(cells) * n_trials, jobs)
+    tasks, owners = [], []
+    for cell, (cell_runner, seed) in enumerate(cells):
+        seeds = trial_seeds(seed, n_trials)
+        for a in range(0, n_trials, width):
+            tasks.append((cell_runner, seeds[a:a + width]))
+            owners.append(cell)
+    if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_block, [(runner, b) for b in blocks]))
+            outcomes = list(pool.map(_run_block, tasks))
     else:
-        results = [_run_block((runner, b)) for b in blocks]
-    counts = {oc: 0 for oc in Outcome}
-    for block in results:
+        outcomes = [_run_block(task) for task in tasks]
+    counts = [{oc: 0 for oc in Outcome} for _ in cells]
+    for cell, block in zip(owners, outcomes):
         for outcome in block:
-            counts[outcome] += 1
-    return MCResult(n_trials=n_trials, counts=counts, base_seed=int(base_seed))
+            counts[cell][outcome] += 1
+    results = [MCResult(n_trials=n_trials, counts=c, base_seed=int(seed))
+               for c, (_, seed) in zip(counts, cells)]
+    return results if isinstance(runner, list) else results[0]
 
 
 def never_return_alpha(k: float, s: float, x_s: float) -> float:

@@ -131,7 +131,7 @@ def _em_coefficients(noise: NoiseSchedule, grid: TimeGrid):
 
 
 def _em_drive(spec: ProcessSpec, grid: TimeGrid, observers, seeds=None,
-              increments=None) -> np.ndarray:
+              increments=None, barrier: float | None = None) -> np.ndarray:
     """EM states x_{i+1} = x_i + (f(x_i) w dt_i + g dW_i), one trial per
     seed (or per row of increments), stepped by the driver."""
     wdt, g, sqrt_dt = _em_coefficients(spec.noise, grid)
@@ -143,11 +143,11 @@ def _em_drive(spec: ProcessSpec, grid: TimeGrid, observers, seeds=None,
     n_trials = len(seeds) if increments is None else len(increments)
     return drive(np.full(n_trials, float(spec.x0)), grid.n_steps, update,
                  observers, seeds=seeds, sample=_standard_normal, scale=sqrt_dt,
-                 increments=increments)
+                 increments=increments, barrier=barrier)
 
 
-def _standard_normal(gen: np.random.Generator, size: int) -> np.ndarray:
-    return gen.standard_normal(size)
+def _standard_normal(gen: np.random.Generator, out: np.ndarray) -> None:
+    gen.standard_normal(out=out)
 
 
 def _path_increments(noise: NoiseSchedule, grid: TimeGrid,
@@ -184,18 +184,23 @@ def em_paths(spec: ProcessSpec, grid: TimeGrid, seeds) -> np.ndarray:
 
 
 def em_batch(spec: ProcessSpec, grid: TimeGrid, seeds,
-             tail_start: float | None = None) -> Extremes:
+             tail_start: float | None = None,
+             barrier: float | None = None) -> Extremes:
     """One EM trajectory per seed, stepped together across trials; returns
     each trial's running extremes over the grid's times, with the tail
     from tail_start on (the whole path when None), and its final state.
 
     Each trial draws its own stream exactly as brownian_increments +
     simulate_em would, so per-seed results do not depend on how trials are
-    grouped or scheduled.
+    grouped or scheduled.  With a barrier the run only classifies (see
+    rng.drive): a trial whose max passed the barrier retires at the next
+    chunk end, and its final and tail_abs_max are its values at
+    retirement.
     """
     seeds = np.asarray(list(seeds), dtype=np.uint64)
     extremes = Extremes(len(seeds), grid.times(), tail_start)
-    extremes.final = _em_drive(spec, grid, [extremes], seeds=seeds)
+    extremes.final = _em_drive(spec, grid, [extremes], seeds=seeds,
+                               barrier=barrier)
     return extremes
 
 

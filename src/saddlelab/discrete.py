@@ -30,8 +30,7 @@ import numpy as np
 
 from .continuous import Trajectory
 from .model import DriftSpec, MeanFlowFrame, drift_eval, mean_flow_h
-from .rng import Extremes, Record, drive
-from .rng import make_rng  # noqa: F401  (bench/tracing.py wraps discrete.make_rng)
+from .rng import NOISE_CHUNK, Extremes, Record, chunk_ranges, drive, make_rng
 
 __all__ = [
     "NoiseSpec",
@@ -92,7 +91,8 @@ def _effective_drift(drift: DriftSpec, x, shrink_exponent: float | None):
 
 def _sgd_drive(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: float,
                n0: int, n_end: int, seeds, observers,
-               shrink_exponent: float | None) -> np.ndarray:
+               shrink_exponent: float | None,
+               barrier: float | None = None) -> np.ndarray:
     """X_{n+1} = X_n + (f(X_n)/n^gamma + Y_{n+1}/n^gamma), one trial per seed,
     stepped by the driver; noise=None runs the noise-free recursion."""
     if not 0.5 < gamma < 1.0:
@@ -106,11 +106,15 @@ def _sgd_drive(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: floa
         h = inv_ng[step]
         x += _effective_drift(drift, x, shrink_exponent) * h + y * h
 
+    def sample(gen, out):
+        out[:] = noise.sample_chunk(gen, len(out))
+
     x = np.full(len(seeds), float(x0))
     if noise is None:
         return drive(x, steps, update, observers,
-                     increments=np.zeros((len(seeds), steps)))
-    return drive(x, steps, update, observers, seeds=seeds, sample=noise.sample_chunk)
+                     increments=np.zeros((len(seeds), steps)), barrier=barrier)
+    return drive(x, steps, update, observers, seeds=seeds, sample=sample,
+                 barrier=barrier)
 
 
 def simulate_sgd(drift: DriftSpec, gamma: float, noise: NoiseSpec | None,
@@ -141,15 +145,19 @@ def sgd_paths(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: float
 def sgd_batch(drift: DriftSpec, gamma: float, noise: NoiseSpec, x0: float,
               n0: int, n_end: int, seeds,
               tail_start: float | None = None,
-              shrink_exponent: float | None = None) -> Extremes:
+              shrink_exponent: float | None = None,
+              barrier: float | None = None) -> Extremes:
     """One recursion per seed, stepped together; returns each trial's
     running extremes over n = n0..n_end, with the tail from n = tail_start
     on (the whole path when None), and its final state.  Per-seed results
-    match simulate_sgd exactly."""
+    match simulate_sgd exactly.  With a barrier the run only classifies
+    (see rng.drive): a trial whose max passed the barrier retires at the
+    next chunk end, and its final and tail_abs_max are its values at
+    retirement."""
     seeds = np.asarray(list(seeds), dtype=np.uint64)
     extremes = Extremes(len(seeds), np.arange(n0, n_end + 1, dtype=float), tail_start)
     extremes.final = _sgd_drive(drift, gamma, noise, x0, n0, n_end, seeds,
-                                [extremes], shrink_exponent)
+                                [extremes], shrink_exponent, barrier)
     return extremes
 
 
@@ -196,8 +204,8 @@ class UrnSpec:
         return out if out.ndim else float(out)
 
 
-def _uniform(gen: np.random.Generator, size: int) -> np.ndarray:
-    return gen.random(size)
+def _uniform(gen: np.random.Generator, out: np.ndarray) -> None:
+    gen.random(out=out)
 
 
 def _urn_red_counts(spec: UrnSpec, n_end: int, seeds, observers=()) -> np.ndarray:
@@ -206,6 +214,16 @@ def _urn_red_counts(spec: UrnSpec, n_end: int, seeds, observers=()) -> np.ndarra
     n0 = spec.total0
     if n_end < n0:
         raise ValueError("n_end is below the starting ball count")
+    if spec.f_kind == "constant" and not observers:
+        # u < value never reads the state: count each stream chunk by chunk
+        red = np.full(len(seeds), float(spec.red0))
+        buffer = np.empty(min(n_end - n0, NOISE_CHUNK))
+        for trial, seed in enumerate(seeds):
+            gen = make_rng(seed)
+            for a, b in chunk_ranges(n_end - n0):
+                _uniform(gen, buffer[:b - a])
+                red[trial] += np.count_nonzero(buffer[:b - a] < spec.value)
+        return red
 
     def update(red, step, u):
         red += u < spec.f(red / float(n0 + step))

@@ -113,7 +113,8 @@ class ContinuousDichotomyRunner:
 
     def __call__(self, seeds):
         stats = cont.em_batch(self.spec, self.grid, seeds,
-                              tail_start=self.cfg.tail_start(self.spec.t0, self.t_end))
+                              tail_start=self.cfg.tail_start(self.spec.t0, self.t_end),
+                              barrier=self.cfg.barrier)
         return classify_stats(stats.max_value, stats.tail_abs_max, self.cfg)
 
     def paths(self, seeds) -> dict:
@@ -138,7 +139,8 @@ class DiscreteDichotomyRunner:
     def __call__(self, seeds):
         stats = disc.sgd_batch(self.drift, self.gamma, self.noise, self.x0,
                                self.n0, self.n_end, seeds,
-                               tail_start=self.cfg.tail_start(self.n0, self.n_end))
+                               tail_start=self.cfg.tail_start(self.n0, self.n_end),
+                               barrier=self.cfg.barrier)
         return classify_stats(stats.max_value, stats.tail_abs_max, self.cfg)
 
     def paths(self, seeds) -> dict:
@@ -209,9 +211,15 @@ class ExperimentConfig:
             if expected:
                 raise ValueError(f"config key {key!r} must be {expected}, "
                                  f"got {value!r}")
+            if key in _MINIMUM and value < _MINIMUM[key]:
+                raise ValueError(f"config key {key!r} must be at least "
+                                 f"{_MINIMUM[key]}, got {value!r}")
             if isinstance(value, list):
                 data[key] = tuple(value)
         return cls(**data)
+
+
+_MINIMUM = {"jobs": 1, "dump_max": 0}  # range checks on top of the type checks
 
 
 def _is_number(value) -> bool:
@@ -304,6 +312,10 @@ def run_dichotomy(config: ExperimentConfig, k: float | None = None,
     runner = _build_runner(config, k, gamma)
     result = estimate_probability(runner, config.trials, base_seed,
                                   jobs=config.jobs)
+    return _output(config, runner, result, k, gamma)
+
+
+def _output(config, runner, result, k, gamma) -> DichotomyOutput:
     prediction, boundary = predict_regime(runner.model, k, gamma)
     return DichotomyOutput(config=config, runner=runner, result=result,
                            k=k, gamma=gamma, prediction=prediction,
@@ -315,13 +327,18 @@ def phase_sweep(config: ExperimentConfig) -> list[DichotomyOutput]:
     gamma.
 
     Cell seeds derive from (base seed, cell index), so the table is
-    reproducible cell-by-cell and independent of worker count.
+    reproducible cell-by-cell and independent of worker count.  Every
+    cell's trials run in one estimate_probability call, on one pool.
     """
     sweep_cfg = dataclasses.replace(config, kind="sweep")
     cells = [(k, gamma) for k in config.k_values for gamma in config.gamma_values]
-    return [run_dichotomy(sweep_cfg, k=k, gamma=gamma,
-                          base_seed=derive_seed(config.seed, index))
-            for index, (k, gamma) in enumerate(cells)]
+    if not cells:
+        return []
+    runners = [_build_runner(sweep_cfg, k, gamma) for k, gamma in cells]
+    seeds = [derive_seed(config.seed, index) for index in range(len(cells))]
+    results = estimate_probability(runners, config.trials, seeds, jobs=config.jobs)
+    return [_output(sweep_cfg, runner, result, k, gamma)
+            for (k, gamma), runner, result in zip(cells, runners, results)]
 
 
 @dataclass(eq=False)

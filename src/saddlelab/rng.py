@@ -6,19 +6,20 @@ arguments.  Every simulator advances its state through `drive`, so a trial
 runs the same update arithmetic whether it runs alone (a batch of one), in
 a batch, or on a worker process, and it consumes the same stream because
 the stream is its own.  numpy's draws do not depend on how a stream is cut
-into requests (the test suite pins this), so NOISE_CHUNK only bounds the
-size of the draw buffer.
+into requests (the test suite pins this), so NOISE_CHUNK (RETIRE_CHUNK in
+a run that retires escaped trials) only bounds the size of the draw buffer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["NOISE_CHUNK", "TRIAL_CAP", "derive_seed", "make_rng", "chunk_ranges",
-           "NonFiniteStateError", "drive", "Extremes", "FirstViolation",
-           "Record"]
+__all__ = ["NOISE_CHUNK", "RETIRE_CHUNK", "TRIAL_CAP", "derive_seed", "make_rng",
+           "chunk_ranges", "NonFiniteStateError", "drive", "Extremes",
+           "FirstViolation", "Record"]
 
 NOISE_CHUNK = 8192
+RETIRE_CHUNK = 512  # steps per draw of TRIAL_CAP trials that retire when escaped
 TRIAL_CAP = 1024  # drive steps wider trial sets in parts to bound buffer memory
 
 
@@ -56,7 +57,8 @@ class NonFiniteStateError(RuntimeError):
 
 @np.errstate(over="ignore", invalid="ignore")  # the first bad step is raised instead
 def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
-          seeds=None, sample=None, scale=None, increments=None) -> np.ndarray:
+          seeds=None, sample=None, scale=None, increments=None,
+          barrier: float | None = None) -> np.ndarray:
     """Advance `state` in place through n_steps steps and return it.
 
     The last axis of state holds the trials.  Step i calls
@@ -64,32 +66,49 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
     noise their noise for step i; each observer's begin(x, part) sees the
     start state of the trials `part`, and its step(x, i + 1) the state
     after step i.  The noise comes either from a given `increments` array
-    (trials x n_steps), or from one generator per seed: sample(gen, size)
-    draws `size` values of a trial's stream, and the per-step `scale`, if
-    given, multiplies the drawn block in place.
+    (trials x n_steps), or from one generator per seed: sample(gen, out)
+    fills `out` with the next len(out) values of a trial's stream, and the
+    per-step `scale`, if given, multiplies the drawn block in place.
+
+    A run with a barrier only classifies, and its one observer is an
+    Extremes.  A trial whose running max has passed the barrier is escaped
+    whatever follows, so at the end of each chunk such trials retire: they
+    are stepped no further and draw no more noise, and their state and
+    extremes keep their values at retirement.  A part of the trials ends
+    when none of them is left.  The chunks are RETIRE_CHUNK steps long
+    when TRIAL_CAP trials are stepped together, and proportionally longer
+    (up to NOISE_CHUNK) when fewer are.
 
     Raises NonFiniteStateError with the first step, over all trials, after
-    which some state is NaN or inf.
+    which some state is NaN or inf; with a barrier, a trial whose max
+    passed it before that step does not count.
     """
     n_trials = state.shape[-1]
+    width = min(n_trials, TRIAL_CAP)
+    chunk = NOISE_CHUNK
+    if barrier is not None:
+        (extremes,) = observers
+        # the same buffer size at every width: a narrower part draws longer
+        # chunks, which spreads each draw call's fixed cost over more values
+        chunk = min(NOISE_CHUNK, TRIAL_CAP * RETIRE_CHUNK // max(width, 1))
     if increments is None:
         seeds = np.asarray(seeds, dtype=np.uint64)
-        buffer = np.empty((min(n_trials, TRIAL_CAP), min(n_steps, NOISE_CHUNK)))
+        buffer = np.empty((width, min(n_steps, chunk)))
     bad_steps = []
     for lo in range(0, n_trials, TRIAL_CAP):
-        part = slice(lo, lo + TRIAL_CAP)
-        x = state[..., part]
+        rows = slice(lo, lo + TRIAL_CAP)  # the trials still stepped
+        x = state[..., rows]
         for obs in observers:
-            obs.begin(x, part)
+            obs.begin(x, rows)
         observe = [obs.step for obs in observers]
-        gens = None if increments is not None else [make_rng(s) for s in seeds[part]]
-        for a, b in chunk_ranges(n_steps, NOISE_CHUNK):
+        gens = None if increments is not None else [make_rng(s) for s in seeds[rows]]
+        for a, b in chunk_ranges(n_steps, chunk):
             if gens is None:
-                block = increments[part, a:b]
+                block = increments[rows, a:b]
             else:
                 block = buffer[:len(gens), :b - a]
                 for row, gen in zip(block, gens):
-                    row[:] = sample(gen, b - a)
+                    sample(gen, row)
                 if scale is not None:
                     block *= scale[a:b]
             start = x.copy()
@@ -98,29 +117,53 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
                 for step in observe:
                     step(x, i + 1)
             if not np.isfinite(x).all():
-                bad_steps.append(_first_bad_step(start, update, a, block))
-                break
+                bad = _first_bad_step(start, update, a, block, barrier)
+                if bad is not None:
+                    bad_steps.append(bad)
+                    break
+            if barrier is not None:
+                # every trial left at the horizon retires with the last chunk
+                keep = (~extremes.passed(barrier) if b < n_steps
+                        else np.zeros(x.shape[-1], dtype=bool))
+                if keep.all():
+                    continue
+                if isinstance(rows, slice):
+                    rows = np.arange(n_trials)[rows]
+                state[..., rows] = x
+                extremes.retire(rows, keep)
+                rows, x = rows[keep], x[..., keep]
+                if gens is not None:
+                    gens = [gen for gen, kept in zip(gens, keep) if kept]
+                if not len(rows):
+                    break
     if bad_steps:
         raise NonFiniteStateError(min(bad_steps))
     return state
 
 
-def _first_bad_step(x, update, a, block) -> int:
-    """Replay one chunk from its start state x; the first non-finite step."""
+def _first_bad_step(x, update, a, block, barrier=None) -> int | None:
+    """Replay one chunk from its start state x: the first step after which
+    the state of a trial that counts is non-finite (None if none is).
+    Without a barrier every trial counts; with one, a trial whose max
+    passed the barrier at an earlier node does not."""
     if not np.isfinite(x).all():
         return a
+    passed = np.zeros(x.shape, dtype=bool) if barrier is None else x > barrier
     for i, noise in enumerate(block.T, a):
         update(x, i, noise)
-        if not np.isfinite(x).all():
+        if not (np.isfinite(x) | passed).all():
             return i + 1
-    raise AssertionError("replaying the chunk gave a finite state")
+        if barrier is not None:
+            passed |= x > barrier
+    return None
 
 
 class Extremes:
     """Per-trial maximum of the state over every node, and maximum of |state|
     over the tail: the nodes whose time is >= tail_start (every node when
     tail_start is None; 0 for a trial with no tail node).  times holds the
-    node times on the run's own clock; the caller sets `final`."""
+    node times on the run's own clock; the caller sets `final`.  A NaN
+    state leaves both maxima as they were."""
 
     def __init__(self, n_trials: int, times, tail_start: float | None = None):
         self.max_value = np.empty(n_trials)
@@ -137,9 +180,20 @@ class Extremes:
             self._tail[...] = np.abs(x)
 
     def step(self, x, index):
-        np.maximum(self._max, x, out=self._max)
+        np.fmax(self._max, x, out=self._max)
         if index >= self.first_tail_node:
-            np.maximum(self._tail, np.abs(x), out=self._tail)
+            np.fmax(self._tail, np.abs(x), out=self._tail)
+
+    def passed(self, barrier: float) -> np.ndarray:
+        """Which observed trials have a max above barrier."""
+        return self._max > barrier
+
+    def retire(self, rows, keep) -> None:
+        """Store the extremes of the observed trials, which are `rows`, and
+        go on observing only those where keep is True."""
+        self.max_value[rows] = self._max
+        self.tail_abs_max[rows] = self._tail
+        self._max, self._tail = self._max[keep], self._tail[keep]
 
 
 class FirstViolation:

@@ -4,8 +4,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from saddlelab.analysis import (ClassifierConfig, MCResult, Outcome, classify,
-                                classify_stats, estimate_probability,
+from saddlelab.analysis import (ClassifierConfig, MCResult, Outcome, block_width,
+                                classify, classify_stats, estimate_probability,
                                 moment_compare, never_return_alpha,
                                 remaining_variance, wilson_interval)
 from saddlelab.continuous import (BrownianPath, TimeGrid, Trajectory,
@@ -162,6 +162,25 @@ class TestEstimateProbability:
     def test_requires_trials(self):
         with pytest.raises(ValueError):
             estimate_probability(StubRunner(), 0, 1)
+
+    def test_requires_a_job(self):
+        with pytest.raises(ValueError):
+            estimate_probability(StubRunner(), 10, 1, jobs=0)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_cells_in_one_call_equal_single_calls(self, jobs):
+        runners = [StubRunner(), StubRunner(escape_all=True), StubRunner()]
+        together = estimate_probability(runners, 300, [4, 5, 6], jobs=jobs)
+        alone = [estimate_probability(r, 300, s) for r, s in zip(runners, [4, 5, 6])]
+        assert together == alone
+
+    def test_block_width(self):
+        # one job: as wide as the cap allows; more: two blocks per worker
+        assert block_width(1000, 1) == 1000
+        assert block_width(10**6, 1) == 1024
+        assert block_width(4096, 2) == 1024
+        assert block_width(1200, 8) == 75
+        assert block_width(1, 4) == 1
 
 
 class TestMCResult:

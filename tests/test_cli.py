@@ -250,12 +250,14 @@ class TestErrorPaths:
         assert rc != 0
 
     @pytest.mark.parametrize("argv, step", [
-        # e^{0.8 t} growth on a 1000-long horizon leaves the float range
-        (["linear-dichotomy", "--k", "0.8", "--horizon", "1000", "--dt", "0.1"],
-         9232),
-        # a cap of 1e200 lets x^2 overflow within a few steps from x0 = 5
+        # e^{0.8 t} growth on a 1000-long horizon leaves the float range; the
+        # counted trials retire once escaped, the dumped paths are stepped in full
+        (["linear-dichotomy", "--k", "0.8", "--horizon", "1000", "--dt", "0.1",
+          "--dump-trajectories"], 9232),
+        # a cap of 1e200 lets x^2 overflow within a few steps from x0 = 5,
+        # before any state passes the barrier
         (["discrete-dichotomy", "--k", "2", "--gamma", "0.6", "--cap", "1e200",
-          "--x0", "5", "--steps", "2000"], 11),
+          "--x0", "5", "--steps", "2000", "--barrier", "1e300"], 11),
     ], ids=["linear", "discrete"])
     def test_non_finite_state_is_an_error_line(self, argv, step, tmp_path, capsys):
         rc = main(argv + ["--trials", "4", "--jobs", "1", "--out", str(tmp_path)])
@@ -263,6 +265,43 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith(f"error: non-finite state at step {step};")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        # the barrier is |x0|, passed long before the overflow at step 9232
+        ["linear-dichotomy", "--k", "0.8", "--horizon", "1000", "--dt", "0.1"],
+        # x0 = 5 starts beyond the barrier 3; the overflow comes at step 11
+        ["discrete-dichotomy", "--k", "2", "--gamma", "0.6", "--cap", "1e200",
+         "--x0", "5", "--steps", "2000"],
+    ], ids=["linear", "discrete"])
+    def test_escaped_then_overflowing_run_completes(self, argv, tmp_path, capsys):
+        # escape is final, so a classifying run retires the trial and never
+        # reaches the overflow
+        rc = main(argv + ["--trials", "4", "--jobs", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        row = read_csv(tmp_path / f"{argv[0].replace('-', '_')}_results.csv")[1]
+        assert [int(v) for v in row[3:6]] == [0, 4, 0]
+
+    @pytest.mark.parametrize("argv, named", [
+        (["simulate", "--jobs", "0"], "'jobs' must be at least 1, got 0"),
+        (["sweep", "--jobs", "-2"], "'jobs' must be at least 1, got -2"),
+    ], ids=["jobs-zero", "jobs-negative"])
+    def test_jobs_below_one_is_an_error_line(self, argv, named, tmp_path, capsys):
+        rc = main(argv + ["--trials", "2", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: config key {named}\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_negative_dump_max_is_an_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dump_max": -1}))
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(cfg), "--dump-trajectories",
+                   "--trials", "2", "--jobs", "1", "--out", str(out)])
+        assert rc == 2
+        assert (capsys.readouterr().err
+                == "error: config key 'dump_max' must be at least 0, got -1\n")
+        assert not out.exists()
 
     def test_urn_without_trials_is_an_error_line(self, tmp_path, capsys):
         rc = main(["urn", "--trials", "0", "--steps", "10", "--jobs", "1",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -61,6 +62,14 @@ class TestExperimentConfig:
                                         "zeta": 2})
         assert "stepsize" in str(err.value)
         assert "zeta" in str(err.value)
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("jobs", 0, "'jobs' must be at least 1, got 0"),
+        ("dump_max", -1, "'dump_max' must be at least 0, got -1"),
+    ])
+    def test_out_of_range_values_rejected(self, key, value, named):
+        with pytest.raises(ValueError, match=named):
+            ExperimentConfig.from_dict({key: value})
 
     def test_every_field_has_default(self):
         ExperimentConfig()
@@ -150,6 +159,14 @@ class TestPhaseSweep:
         again = phase_sweep(config)
         assert [c.result.counts for c in again] == \
             [c.result.counts for c in cells]
+
+    def test_counts_do_not_depend_on_jobs(self):
+        config = ExperimentConfig(kind="sweep", model="continuous",
+                                  k_values=(2.0, 3.0), gamma_values=(0.6, 0.9),
+                                  horizon=10.0, dt=1e-2, trials=50, seed=4)
+        counts = [[c.result.counts for c in phase_sweep(
+            dataclasses.replace(config, jobs=jobs))] for jobs in (1, 2, 3)]
+        assert counts[0] == counts[1] == counts[2]
 
     def test_cell_seeds_differ(self):
         config = ExperimentConfig(kind="sweep", model="continuous",

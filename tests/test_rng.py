@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from saddlelab import continuous, discrete, rng
+from saddlelab.analysis import classify_stats
+from saddlelab.experiments import discrete_classifier, monomial_classifier
 from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
 from saddlelab.rng import (Extremes, NonFiniteStateError, Record, chunk_ranges,
                            derive_seed, drive, make_rng)
@@ -103,3 +105,133 @@ def test_non_finite_error_survives_pickling():
     err = pickle.loads(pickle.dumps(NonFiniteStateError(9217)))
     assert err.step_index == 9217
     assert str(err) == str(NonFiniteStateError(9217))
+
+
+@pytest.mark.parametrize("draw, reference", [
+    (continuous._standard_normal, lambda gen, size: gen.standard_normal(size)),
+    (discrete._uniform, lambda gen, size: gen.random(size)),
+], ids=["standard_normal", "random"])
+def test_drawing_into_the_buffer_gives_the_same_stream(draw, reference):
+    # drive's samplers write into a row of its buffer (out=); the stream must
+    # be the one a sized request draws, however it is cut
+    whole = reference(make_rng(derive_seed(3, 2)), 20_000)
+    for chunk in (8192, 1000, 777, 1):
+        gen = make_rng(derive_seed(3, 2))
+        out = np.empty(20_000)
+        for a, b in chunk_ranges(20_000, chunk):
+            draw(gen, out[a:b])
+        assert np.array_equal(whole, out), chunk
+
+
+def _retire_in_parts(monkeypatch, size):
+    monkeypatch.setattr(rng, "TRIAL_CAP", size)
+    monkeypatch.setattr(rng, "NOISE_CHUNK", size)
+    monkeypatch.setattr(rng, "RETIRE_CHUNK", size)
+
+
+def _assert_retirement_keeps_counts(full, retired, cfg):
+    # escape is final, so the counts agree; a trial that never passed the
+    # barrier was stepped to the horizon either way and agrees bit for bit
+    assert (classify_stats(full.max_value, full.tail_abs_max, cfg)
+            == classify_stats(retired.max_value, retired.tail_abs_max, cfg))
+    stayed = full.max_value <= cfg.barrier
+    assert np.array_equal(stayed, retired.max_value <= cfg.barrier)
+    for field in ("final", "max_value", "tail_abs_max"):
+        assert np.array_equal(getattr(full, field)[stayed],
+                              getattr(retired, field)[stayed])
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+@pytest.mark.parametrize("gamma", [0.6, 0.9])
+def test_retired_em_counts_equal_full_stepping(monkeypatch, gamma, size):
+    # k = 2: gamma 0.6 is below the threshold 3/4 (escape), 0.9 above it
+    spec = ProcessSpec(DriftSpec("monomial", 2.0),
+                       NoiseSchedule("power_transformed", gamma), t0=1.0, x0=-0.2)
+    grid = continuous.TimeGrid(1.0, 12.0, 1e-2)
+    cfg = monomial_classifier(2.0, 1.0, 12.0)
+    seeds = [derive_seed(61, i) for i in range(16)]
+    tail = cfg.tail_start(1.0, 12.0)
+    full = continuous.em_batch(spec, grid, seeds, tail_start=tail)
+    _retire_in_parts(monkeypatch, size)
+    retired = continuous.em_batch(spec, grid, seeds, tail_start=tail,
+                                  barrier=cfg.barrier)
+    _assert_retirement_keeps_counts(full, retired, cfg)
+    escaped = full.max_value > cfg.barrier
+    assert escaped.any() if gamma < 0.75 else not escaped.all()
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+@pytest.mark.parametrize("gamma", [0.6, 0.9])
+def test_retired_recursion_counts_equal_full_stepping(monkeypatch, gamma, size):
+    drift = DriftSpec("monomial", 2.0, 1.0, 10.0)
+    noise = discrete.NoiseSpec("rademacher")
+    cfg = discrete_classifier(2.0, gamma, 10, 1210)
+    seeds = [derive_seed(62, i) for i in range(16)]
+    tail = cfg.tail_start(10, 1210)
+    full = discrete.sgd_batch(drift, gamma, noise, -0.2, 10, 1210, seeds,
+                              tail_start=tail)
+    _retire_in_parts(monkeypatch, size)
+    retired = discrete.sgd_batch(drift, gamma, noise, -0.2, 10, 1210, seeds,
+                                 tail_start=tail, barrier=cfg.barrier)
+    _assert_retirement_keeps_counts(full, retired, cfg)
+    escaped = full.max_value > cfg.barrier
+    assert escaped.any() if gamma < 0.75 else not escaped.all()
+
+
+@pytest.mark.parametrize("cap", [5, 10])
+@pytest.mark.parametrize("model", ["continuous", "discrete"])
+def test_retired_trials_are_not_stepped(monkeypatch, model, cap):
+    # every trial starts above the barrier, so it retires at the first chunk
+    # end; five trials under a cap of ten draw chunks twice as long
+    monkeypatch.setattr(rng, "TRIAL_CAP", cap)
+    calls = []
+    module = continuous if model == "continuous" else discrete
+    drift_eval = module.drift_eval
+
+    def counted(spec, x):
+        calls.append(len(x))
+        return drift_eval(spec, x)
+
+    monkeypatch.setattr(module, "drift_eval", counted)
+    seeds = [derive_seed(63, i) for i in range(5)]
+    if model == "continuous":
+        spec = ProcessSpec(DriftSpec("monomial", 2.0),
+                           NoiseSchedule("power_transformed", 0.9), t0=1.0, x0=5.0)
+        out = continuous.em_batch(spec, continuous.TimeGrid(1.0, 31.0, 1e-2),
+                                  seeds, barrier=3.0)
+    else:
+        out = discrete.sgd_batch(DriftSpec("monomial", 2.0), 0.9,
+                                 discrete.NoiseSpec("rademacher"), 5.0, 10, 3010,
+                                 seeds, barrier=3.0)
+    assert 0 < len(calls) <= rng.RETIRE_CHUNK * cap // 5 < 3000
+    assert np.all(out.max_value > 3.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_escaped_then_non_finite_is_decided_not_an_error(monkeypatch, bad):
+    # chunks of 4 steps; trial 0 passes the barrier at step 2 and turns
+    # non-finite at step 3, inside the same chunk; trial 1 turns inf at
+    # step 6 from below the barrier; trial 2 stays at 0
+    monkeypatch.setattr(rng, "TRIAL_CAP", 3)
+    monkeypatch.setattr(rng, "RETIRE_CHUNK", 4)
+    increments = np.zeros((3, 9))
+    increments[0, 1], increments[0, 2] = 5.0, bad
+    increments[1, 5] = np.inf
+
+    def update(x, step, noise):
+        x += noise
+
+    with pytest.raises(NonFiniteStateError) as err:
+        drive(np.zeros(3), 9, update, [Extremes(3, np.arange(10.0))],
+              increments=increments, barrier=3.0)
+    assert err.value.step_index == 6
+    increments[1, 5] = 0.0
+    top = Extremes(3, np.arange(10.0))
+    final = drive(np.zeros(3), 9, update, [top], increments=increments, barrier=3.0)
+    assert np.array_equal(final, [bad, 0.0, 0.0], equal_nan=True)
+    assert top.max_value[0] > 3.0
+    assert np.array_equal(top.max_value[1:], [0.0, 0.0])
+    # without a barrier the same inf is an error at its own step
+    with pytest.raises(NonFiniteStateError) as err:
+        drive(np.zeros(3), 9, update, increments=increments)
+    assert err.value.step_index == 3

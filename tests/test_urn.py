@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from saddlelab.discrete import (UrnSpec, simulate_urn, urn_as_sgd_check,
-                                urn_final_batch)
-from saddlelab.rng import derive_seed, make_rng
+from saddlelab.discrete import (UrnSpec, _urn_red_counts, simulate_urn,
+                                urn_as_sgd_check, urn_final_batch)
+from saddlelab.rng import Extremes, derive_seed, make_rng
 
 
 class TestUrnSpec:
@@ -59,6 +59,20 @@ class TestUrnDynamics:
         for i, s in enumerate(seeds):
             run = simulate_urn(spec, 2000, s)
             assert run.values[-1] == finals[i]
+
+    @pytest.mark.parametrize("value", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("steps", [0, 1, 20_000])
+    def test_constant_counts_equal_the_stepped_urn(self, value, steps):
+        # constant feedback counts u < value over each stream; an observer
+        # sends the same urns through the stepping driver instead
+        spec = UrnSpec("constant", value=value, red0=2, total0=5)
+        seeds = [derive_seed(905, i) for i in range(4)]
+        counted = _urn_red_counts(spec, 5 + steps, seeds)
+        stepped = _urn_red_counts(spec, 5 + steps, seeds,
+                                  [Extremes(4, np.arange(steps + 1.0))])
+        assert np.array_equal(counted, stepped)
+        assert np.array_equal(urn_final_batch(spec, 5 + steps, seeds),
+                              stepped / (5 + steps))
 
 
 class TestUrnAsSgd:
