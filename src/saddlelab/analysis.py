@@ -145,8 +145,7 @@ class MCResult:
 
 def trial_seeds(base_seed: int, n_trials: int) -> np.ndarray:
     """The one trial-seed rule: trial i runs on derive_seed(base_seed, i)."""
-    return np.array([derive_seed(base_seed, i) for i in range(n_trials)],
-                    dtype=np.uint64)
+    return derive_seed(base_seed, np.arange(n_trials))
 
 
 def block_width(n_total: int, jobs: int) -> int:

@@ -76,22 +76,28 @@ class NoiseSpec:
         return self.M ** 2 / 3.0
 
     def sample_chunk(self, rng: np.random.Generator, size) -> np.ndarray:
+        """The next `size` values of rng's noise stream."""
+        out = np.empty(size)
+        self.fill(rng, out)
+        return out
+
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Write the next len(out) values of rng's noise stream into out, in
+        place and bit for bit as (2 B - 1) M for fair bits B, or as
+        rng.uniform(-M, M), which computes -M + 2M u."""
         if self.family == RADEMACHER:
-            return (2.0 * rng.integers(0, 2, size=size) - 1.0) * self.M
-        return rng.uniform(-self.M, self.M, size=size)
-
-
-def _effective_drift(drift: DriftSpec, x, shrink_exponent: float | None):
-    """f(x), optionally shrunk to min(f(x), |x|^p) for the '<=' recursion form."""
-    f = drift_eval(drift, x)
-    if shrink_exponent is None:
-        return f
-    return np.minimum(f, np.abs(x) ** shrink_exponent)
+            out[:] = rng.integers(0, 2, size=len(out))
+            out *= 2.0
+            out -= 1.0
+            out *= self.M
+        else:
+            rng.random(out=out)
+            out *= 2.0 * self.M
+            out += -self.M
 
 
 def _sgd_drive(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: float,
                n0: int, n_end: int, seeds, observers,
-               shrink_exponent: float | None,
                barrier: float | None = None) -> np.ndarray:
     """X_{n+1} = X_n + (f(X_n)/n^gamma + Y_{n+1}/n^gamma), one trial per seed,
     stepped by the driver; noise=None runs the noise-free recursion."""
@@ -104,48 +110,39 @@ def _sgd_drive(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: floa
 
     def update(x, step, y):
         h = inv_ng[step]
-        x += _effective_drift(drift, x, shrink_exponent) * h + y * h
-
-    def sample(gen, out):
-        out[:] = noise.sample_chunk(gen, len(out))
+        x += drift_eval(drift, x) * h + y * h
 
     x = np.full(len(seeds), float(x0))
     if noise is None:
         return drive(x, steps, update, observers,
                      increments=np.zeros((len(seeds), steps)), barrier=barrier)
-    return drive(x, steps, update, observers, seeds=seeds, sample=sample,
+    return drive(x, steps, update, observers, seeds=seeds, sample=noise.fill,
                  barrier=barrier)
 
 
 def simulate_sgd(drift: DriftSpec, gamma: float, noise: NoiseSpec | None,
-                 x0: float, n0: int, n_end: int, seed: int,
-                 shrink_exponent: float | None = None) -> Trajectory:
+                 x0: float, n0: int, n_end: int, seed: int) -> Trajectory:
     """Run X_{n+1} = X_n + f(X_n)/n^gamma + Y_{n+1}/n^gamma for n = n0..n_end-1;
-    the trajectory's times are n = n0..n_end.
-
-    noise=None runs the noise-free recursion.  shrink_exponent p replaces
-    the drift by min(f(x), |x|^p), the substitution used to realize the
-    '<=' form of the recursion.
+    the trajectory's times are n = n0..n_end.  noise=None runs the
+    noise-free recursion.
     """
-    values = sgd_paths(drift, gamma, noise, x0, n0, n_end, [seed], shrink_exponent)
+    values = sgd_paths(drift, gamma, noise, x0, n0, n_end, [seed])
     return Trajectory(np.arange(n0, n_end + 1, dtype=float), values[0])
 
 
 def sgd_paths(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: float,
-              n0: int, n_end: int, seeds,
-              shrink_exponent: float | None = None) -> np.ndarray:
+              n0: int, n_end: int, seeds) -> np.ndarray:
     """States X_{n0..n_end} of one recursion per seed, shape
     (trials, n_end - n0 + 1); row i equals simulate_sgd at seeds[i]."""
     seeds = np.asarray(list(seeds), dtype=np.uint64)
     record = Record((len(seeds),), n_end - n0)
-    _sgd_drive(drift, gamma, noise, x0, n0, n_end, seeds, [record], shrink_exponent)
+    _sgd_drive(drift, gamma, noise, x0, n0, n_end, seeds, [record])
     return record.value
 
 
 def sgd_batch(drift: DriftSpec, gamma: float, noise: NoiseSpec, x0: float,
               n0: int, n_end: int, seeds,
               tail_start: float | None = None,
-              shrink_exponent: float | None = None,
               barrier: float | None = None) -> Extremes:
     """One recursion per seed, stepped together; returns each trial's
     running extremes over n = n0..n_end, with the tail from n = tail_start
@@ -157,7 +154,7 @@ def sgd_batch(drift: DriftSpec, gamma: float, noise: NoiseSpec, x0: float,
     seeds = np.asarray(list(seeds), dtype=np.uint64)
     extremes = Extremes(len(seeds), np.arange(n0, n_end + 1, dtype=float), tail_start)
     extremes.final = _sgd_drive(drift, gamma, noise, x0, n0, n_end, seeds,
-                                [extremes], shrink_exponent, barrier)
+                                [extremes], barrier)
     return extremes
 
 

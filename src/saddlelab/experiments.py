@@ -335,7 +335,7 @@ def phase_sweep(config: ExperimentConfig) -> list[DichotomyOutput]:
     if not cells:
         return []
     runners = [_build_runner(sweep_cfg, k, gamma) for k, gamma in cells]
-    seeds = [derive_seed(config.seed, index) for index in range(len(cells))]
+    seeds = derive_seed(config.seed, np.arange(len(cells)))
     results = estimate_probability(runners, config.trials, seeds, jobs=config.jobs)
     return [_output(sweep_cfg, runner, result, k, gamma)
             for (k, gamma), runner, result in zip(cells, runners, results)]

@@ -2,15 +2,25 @@
 
 Every trajectory owns an independent generator keyed by
 derive_seed(base_seed, *indices); the rule is a pure function of its
-arguments.  Every simulator advances its state through `drive`, so a trial
-runs the same update arithmetic whether it runs alone (a batch of one), in
-a batch, or on a worker process, and it consumes the same stream because
-the stream is its own.  numpy's draws do not depend on how a stream is cut
-into requests (the test suite pins this), so NOISE_CHUNK (RETIRE_CHUNK in
-a run that retires escaped trials) only bounds the size of the draw buffer.
+arguments, and an integer array as the last index derives one key per
+entry in one call.  Every simulator advances its state through `drive`, so
+a trial runs the same update arithmetic whether it runs alone (a batch of
+one), in a batch, or on a worker process, and it consumes the same stream
+because the stream is its own.  numpy's draws do not depend on how a stream
+is cut into requests (the test suite pins this), so NOISE_CHUNK
+(RETIRE_CHUNK in a run that retires escaped trials) only bounds the size of
+the draw buffer.
+
+The draw buffer holds one row per trial, and each step reads its noise down
+a column.  Its rows lie an odd number of 64-byte cache lines apart: the
+chunk is rounded up to whole lines, plus one line when that count is even.
+At a power-of-two row pitch every entry of a column would map to the same
+cache set, and reading a column of 1024 trials cost 3-5 times as much.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -23,10 +33,98 @@ RETIRE_CHUNK = 512  # steps per draw of TRIAL_CAP trials that retire when escape
 TRIAL_CAP = 1024  # drive steps wider trial sets in parts to bound buffer memory
 
 
-def derive_seed(base_seed: int, *indices: int) -> int:
-    """Fixed splitting rule: (base, i, j, ...) -> 64-bit stream key."""
-    ss = np.random.SeedSequence(int(base_seed), spawn_key=tuple(int(i) for i in indices))
-    return int(ss.generate_state(1, np.uint64)[0])
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) in 32-bit words:
+# Python ints for the words every key shares, a uint32 array for a vector of
+# last indices.  Every product is masked to 32 bits, a no-op on uint32
+# arrays, which wrap without a warning; a Python int below 2**32 leaves a
+# uint32 array uint32 under numpy 1.x value-based and 2.x NEP 50 promotion.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(value) -> list[int]:
+    """A non-negative int as SeedSequence reads it: 32-bit words, low first."""
+    value = int(value)
+    if value < 0:
+        raise ValueError("seeds and indices must be non-negative")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+class _HashMix:
+    """SeedSequence's hashmix: xor the running constant in, step the
+    constant, multiply by it and fold the high half down."""
+
+    def __init__(self, const: int, mult: int):
+        self.const, self.mult = const, mult
+
+    def __call__(self, value):
+        value = value ^ self.const
+        self.const = (self.const * self.mult) & _MASK32
+        value = (value * self.const) & _MASK32
+        return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+    return value ^ (value >> 16)
+
+
+@functools.lru_cache(maxsize=64)
+def _mixed_pool(head: tuple) -> tuple:
+    """SeedSequence's pool once its first _POOL_SIZE entropy words are hashed
+    in and mixed together, and the hash constant it goes on from.  Every
+    key derived from one base seed shares it, so it is kept."""
+    hashmix = _HashMix(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in head]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    return tuple(pool), hashmix.const
+
+
+def _first_state_words(entropy: list):
+    """The first two 32-bit words SeedSequence generates from these entropy
+    words (at least _POOL_SIZE of them): the low and the high half of its
+    first uint64."""
+    pool, const = _mixed_pool(tuple(entropy[:_POOL_SIZE]))
+    pool, hashmix = list(pool), _HashMix(const, _MULT_A)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    output = _HashMix(_INIT_B, _MULT_B)
+    return output(pool[0]), output(pool[1])
+
+
+def derive_seed(base_seed: int, *indices):
+    """Fixed splitting rule: (base, i, j, ...) -> 64-bit stream key, the
+    first uint64 of np.random.SeedSequence(base, spawn_key=(i, j, ...)).
+
+    The last index may be an integer array with entries below 2**32; the
+    keys then come back as a uint64 array, one per entry.  With scalar
+    indices the key is an int."""
+    vector = bool(indices) and np.ndim(indices[-1]) > 0
+    # SeedSequence pads a short base with zero words before a spawn key, and
+    # without one hashes zeros into the pool words the base leaves empty
+    entropy = _words(base_seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    for index in (indices[:-1] if vector else indices):
+        entropy += _words(index)
+    if not vector:
+        low, high = _first_state_words(entropy)
+        return low | (high << 32)
+    last = np.asarray(indices[-1])
+    if not np.issubdtype(last.dtype, np.integer) or (
+            last.size and (last.min() < 0 or last.max() > _MASK32)):
+        raise ValueError("an array index must hold integers in [0, 2**32)")
+    low, high = _first_state_words(entropy + [last.astype(np.uint32)])
+    return low.astype(np.uint64) | (high.astype(np.uint64) << np.uint64(32))
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -40,6 +138,14 @@ def chunk_ranges(n: int, chunk: int = NOISE_CHUNK):
         stop = min(start + chunk, n)
         yield start, stop
         start = stop
+
+
+def _draw_buffer(width: int, chunk: int) -> np.ndarray:
+    """A (width, chunk) view of a draw buffer whose contiguous rows lie an
+    odd number of 64-byte lines (8 doubles each) apart."""
+    lines = -(-chunk // 8)
+    lines += 1 - lines % 2
+    return np.empty((width, 8 * lines))[:, :chunk]
 
 
 class NonFiniteStateError(RuntimeError):
@@ -93,7 +199,7 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
         chunk = min(NOISE_CHUNK, TRIAL_CAP * RETIRE_CHUNK // max(width, 1))
     if increments is None:
         seeds = np.asarray(seeds, dtype=np.uint64)
-        buffer = np.empty((width, min(n_steps, chunk)))
+        buffer = _draw_buffer(width, min(n_steps, chunk))
     bad_steps = []
     for lo in range(0, n_trials, TRIAL_CAP):
         rows = slice(lo, lo + TRIAL_CAP)  # the trials still stepped

@@ -141,16 +141,6 @@ class TestSgdRecursion:
         assert len(set(bad)) > 1
         assert batch == min(bad)
 
-    def test_shrink_option_bounds_drift(self):
-        # min(f, |x|^p) can only slow the climb
-        plain = simulate_sgd(MONO, 0.8, None, -0.5, 1, 200, 0)
-        shrunk = simulate_sgd(MONO, 0.8, None, -0.5, 1, 200, 0,
-                              shrink_exponent=3.0)
-        assert np.all(shrunk.values <= plain.values + 1e-15)
-        same = simulate_sgd(MONO, 0.8, None, -0.5, 1, 200, 0,
-                            shrink_exponent=2.0)
-        assert np.array_equal(same.values, plain.values)
-
     def test_gamma_domain(self):
         for bad in (0.5, 1.0, 1.2):
             with pytest.raises(ValueError):

@@ -110,10 +110,16 @@ def test_non_finite_error_survives_pickling():
 @pytest.mark.parametrize("draw, reference", [
     (continuous._standard_normal, lambda gen, size: gen.standard_normal(size)),
     (discrete._uniform, lambda gen, size: gen.random(size)),
-], ids=["standard_normal", "random"])
+    (discrete.NoiseSpec("rademacher", 0.7).fill,
+     lambda gen, size: (2.0 * gen.integers(0, 2, size=size) - 1.0) * 0.7),
+    (discrete.NoiseSpec("uniform_centered", 0.7).fill,
+     lambda gen, size: gen.uniform(-0.7, 0.7, size=size)),
+], ids=["standard_normal", "random", "rademacher", "uniform_centered"])
 def test_drawing_into_the_buffer_gives_the_same_stream(draw, reference):
     # drive's samplers write into a row of its buffer (out=); the stream must
-    # be the one a sized request draws, however it is cut
+    # be the one a sized request draws, however it is cut; the noise families
+    # are checked against the expressions they drew with before they wrote
+    # in place
     whole = reference(make_rng(derive_seed(3, 2)), 20_000)
     for chunk in (8192, 1000, 777, 1):
         gen = make_rng(derive_seed(3, 2))
@@ -121,6 +127,51 @@ def test_drawing_into_the_buffer_gives_the_same_stream(draw, reference):
         for a, b in chunk_ranges(20_000, chunk):
             draw(gen, out[a:b])
         assert np.array_equal(whole, out), chunk
+
+
+def _seed_sequence_key(base, *indices) -> int:
+    ss = np.random.SeedSequence(base, spawn_key=indices)
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+# bases of 1, 2, 4 and 5 32-bit words
+BASES = [0, 20260810, 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 7, 2**128 + 3]
+LAST = np.array([0, 1, 2, 1000, 123_456_789, 2**31, 2**32 - 1])
+
+
+@pytest.mark.parametrize("prefix", [(), (3,), (2**33, 5)], ids=str)
+@pytest.mark.parametrize("base", BASES)
+def test_derive_seed_is_seed_sequence(base, prefix):
+    expected = [_seed_sequence_key(base, *prefix, int(i)) for i in LAST]
+    assert [derive_seed(base, *prefix, int(i)) for i in LAST] == expected
+    assert derive_seed(base, *prefix, LAST).tolist() == expected
+    assert derive_seed(base, *prefix) == _seed_sequence_key(base, *prefix)
+
+
+def test_derive_seed_types_and_range():
+    key = derive_seed(7, 3)
+    assert type(key) is int
+    keys = derive_seed(7, np.arange(4))
+    assert keys.dtype == np.uint64 and keys.shape == (4,)
+    assert keys[3] == key
+    assert derive_seed(7, np.arange(0)).shape == (0,)
+    assert derive_seed(7, 2**40) == _seed_sequence_key(7, 2**40)  # scalars: any size
+    for bad in ([2**32], [-1], [1.0]):
+        with pytest.raises(ValueError):
+            derive_seed(7, np.array(bad))
+    with pytest.raises(ValueError):
+        derive_seed(-1, 3)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4, 7, 8, 9, 512, 8192])
+@pytest.mark.parametrize("width", [1, 5, 256, 500, 1024])
+def test_draw_buffer_rows_are_an_odd_number_of_lines_apart(width, chunk):
+    buffer = rng._draw_buffer(width, chunk)
+    assert buffer.shape == (width, chunk)
+    pitch = buffer.strides[0]
+    assert pitch % 64 == 0 and (pitch // 64) % 2 == 1
+    assert pitch < 8 * chunk + 128
+    assert all(row.flags.c_contiguous for row in buffer[:3])
 
 
 def _retire_in_parts(monkeypatch, size):
