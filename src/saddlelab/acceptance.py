@@ -19,7 +19,7 @@ from . import discrete as disc
 from .analysis import (Outcome, moment_compare, never_return_alpha,
                        remaining_variance, trial_seeds, wilson_interval)
 from .experiments import ExperimentConfig, run_dichotomy
-from .model import DriftSpec, NoiseSchedule, ProcessSpec
+from .model import DriftSpec, NoiseSchedule, ProcessSpec, gamma_threshold
 from .rng import derive_seed, make_rng
 
 BASE_SEED = 20260810
@@ -112,8 +112,7 @@ def criterion_4_monomial_phase_flip() -> tuple[bool, str]:
             conv = out.result.estimate(Outcome.CONVERGED)
             esc = out.result.estimate(Outcome.ESCAPED)
             lo = out.result.interval(Outcome.CONVERGED)[0]
-            threshold = 0.5 + 0.5 / k
-            if gamma < threshold:
+            if gamma < gamma_threshold(k):
                 ok = conv <= 0.01 and esc >= 0.95
                 details.append(f"k={k:g},g={gamma:g}(sub): conv={conv:.3f} "
                                f"esc={esc:.3f}")
@@ -150,7 +149,7 @@ def criterion_5_discrete_phase_flip() -> tuple[bool, str]:
         out = run_dichotomy(config)
         conv = out.result.estimate(Outcome.CONVERGED)
         lo = out.result.interval(Outcome.CONVERGED)[0]
-        if gamma < 0.75:
+        if gamma < gamma_threshold(config.k):
             checks.append(conv <= 0.01)
             details.append(f"g={gamma:g}: conv={conv:.3f} (<=0.01)")
         else:

@@ -163,27 +163,25 @@ def _run_block(args):
     return runner(seeds)
 
 
-def estimate_probability(runner, n_trials: int, base_seed, jobs: int = 1):
-    """Run n_trials independent trials and count outcomes.
+def estimate_probability(runners, n_trials: int, base_seeds, jobs: int = 1):
+    """Run n_trials independent trials of each cell and count outcomes.
 
-    runner maps an array of per-trial seeds to a sequence of Outcomes; the
-    seeds are trial_seeds(base_seed, n_trials), so counts do not depend on
-    block boundaries or on how many workers execute them.  A sweep passes
-    a list of runners with a list of base seeds, one per cell, and gets a
-    list of MCResults back: every cell's blocks then share one pool.
+    runners[i] maps an array of per-trial seeds to a sequence of Outcomes;
+    its seeds are trial_seeds(base_seeds[i], n_trials), so counts do not
+    depend on block boundaries or on how many workers execute them.  Every
+    cell's blocks share one pool; one MCResult per cell comes back.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
     if jobs < 1:
         raise ValueError("need at least one job")
-    cells = (list(zip(runner, base_seed)) if isinstance(runner, list)
-             else [(runner, base_seed)])
+    cells = list(zip(runners, base_seeds))
     width = block_width(len(cells) * n_trials, jobs)
     tasks, owners = [], []
-    for cell, (cell_runner, seed) in enumerate(cells):
+    for cell, (runner, seed) in enumerate(cells):
         seeds = trial_seeds(seed, n_trials)
         for a in range(0, n_trials, width):
-            tasks.append((cell_runner, seeds[a:a + width]))
+            tasks.append((runner, seeds[a:a + width]))
             owners.append(cell)
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -194,9 +192,8 @@ def estimate_probability(runner, n_trials: int, base_seed, jobs: int = 1):
     for cell, block in zip(owners, outcomes):
         for outcome in block:
             counts[cell][outcome] += 1
-    results = [MCResult(n_trials=n_trials, counts=c, base_seed=int(seed))
-               for c, (_, seed) in zip(counts, cells)]
-    return results if isinstance(runner, list) else results[0]
+    return [MCResult(n_trials=n_trials, counts=c, base_seed=int(seed))
+            for c, (_, seed) in zip(counts, cells)]
 
 
 def never_return_alpha(k: float, s: float, x_s: float) -> float:

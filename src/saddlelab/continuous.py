@@ -335,9 +335,12 @@ def gaussian_clock(k: float, s: float, t) -> np.ndarray:
     return (np.exp(a * t) - np.exp(a * s)) / a
 
 
+HIT_GRID = 64        # clock steps per path in linear_hit_zero_mc
+HIT_BLOCK = 20_000   # paths per generator (one derived seed each)
+
+
 def linear_hit_zero_mc(k: float, x_s: float, s: float, t_end: float,
-                       n_paths: int, seed: int, n_grid: int = 64,
-                       block: int = 20000) -> tuple[int, int]:
+                       n_paths: int, seed: int) -> tuple[int, int]:
     """Count paths from x_s < 0 that hit the origin by t_end, out of n_paths.
 
     The origin is the constant barrier b = -e^{ks} x_s for the Gaussian
@@ -349,21 +352,21 @@ def linear_hit_zero_mc(k: float, x_s: float, s: float, t_end: float,
         raise ValueError("hitting probe starts from a negative state")
     b = -math.exp(k * s) * x_s
     tau_end = float(gaussian_clock(k, s, t_end))
-    dtau = tau_end / n_grid
+    dtau = tau_end / HIT_GRID
     hits = 0
     done = 0
     batch_index = 0
     while done < n_paths:
-        m = min(block, n_paths - done)
+        m = min(HIT_BLOCK, n_paths - done)
         rng = make_rng(derive_seed(seed, batch_index))
-        incr = rng.standard_normal((m, n_grid)) * math.sqrt(dtau)
+        incr = rng.standard_normal((m, HIT_GRID)) * math.sqrt(dtau)
         w = np.cumsum(incr, axis=1)
         crossed = (w >= b).any(axis=1)
         alive = np.flatnonzero(~crossed)
         if len(alive):
             w_alive = np.concatenate((np.zeros((len(alive), 1)), w[alive]), axis=1)
             p_bridge = np.exp(-2.0 * (b - w_alive[:, :-1]) * (b - w_alive[:, 1:]) / dtau)
-            u = rng.random((len(alive), n_grid))
+            u = rng.random((len(alive), HIT_GRID))
             crossed[alive] = (u < p_bridge).any(axis=1)
         hits += int(crossed.sum())
         done += m

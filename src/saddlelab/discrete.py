@@ -75,12 +75,6 @@ class NoiseSpec:
             return self.M ** 2
         return self.M ** 2 / 3.0
 
-    def sample_chunk(self, rng: np.random.Generator, size) -> np.ndarray:
-        """The next `size` values of rng's noise stream."""
-        out = np.empty(size)
-        self.fill(rng, out)
-        return out
-
     def fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Write the next len(out) values of rng's noise stream into out, in
         place and bit for bit as (2 B - 1) M for fair bits B, or as
@@ -106,7 +100,8 @@ def _sgd_drive(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: floa
     if not (n0 >= 1 and n_end > n0):
         raise ValueError("need n0 >= 1 and n_end > n0")
     steps = n_end - n0
-    inv_ng = np.arange(n0, n_end, dtype=float) ** (-gamma)
+    inv_ng = np.arange(n0, n_end, dtype=float)
+    inv_ng **= -gamma
 
     def update(x, step, y):
         h = inv_ng[step]
@@ -115,7 +110,8 @@ def _sgd_drive(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: floa
     x = np.full(len(seeds), float(x0))
     if noise is None:
         return drive(x, steps, update, observers,
-                     increments=np.zeros((len(seeds), steps)), barrier=barrier)
+                     increments=np.broadcast_to(0.0, (len(seeds), steps)),
+                     barrier=barrier)
     return drive(x, steps, update, observers, seeds=seeds, sample=noise.fill,
                  barrier=barrier)
 

@@ -14,6 +14,12 @@ band and barrier are set from the regime's own scales:
   the mean flow, so the band is a small multiple of |h(tail start)|,
   clipped at 0.1 to stay well under the barrier.
 
+An explicit eps_conv or barrier in the config overrides either default.
+
+A single dichotomy run is a one-cell sweep: run_dichotomy and phase_sweep
+both build one runner per (k, gamma) cell and count every cell's trials
+in one estimate_probability call.
+
 Experiment runners are plain frozen dataclasses mapping a block of trial
 seeds to outcomes, so they pickle cleanly onto worker processes.  A runner
 also records the paths behind those outcomes (`paths`) and names the model
@@ -37,61 +43,12 @@ from .rng import derive_seed
 
 __all__ = [
     "ExperimentConfig",
-    "linear_classifier",
-    "monomial_classifier",
-    "discrete_classifier",
     "ContinuousDichotomyRunner",
     "DiscreteDichotomyRunner",
     "run_dichotomy",
     "run_urn_experiment",
     "phase_sweep",
 ]
-
-
-def linear_classifier(k: float, x0: float, t0: float, t_end: float,
-                      tail_fraction: float = 0.2,
-                      eps_conv: float | None = None,
-                      barrier: float | None = None) -> ClassifierConfig:
-    """Classifier defaults for the exponential-clock linear experiment."""
-    if k >= 0.5:
-        barrier = abs(x0) if barrier is None else barrier
-        eps = barrier / 100.0 if eps_conv is None else eps_conv
-    else:
-        barrier = 3.0 if barrier is None else barrier
-        if eps_conv is None:
-            t_tail = tail_start(t0, t_end, tail_fraction)
-            sigma_inf = math.sqrt(1.0 / (1.0 - 2.0 * k))
-            eps = min(3.0 * sigma_inf * math.exp(-k * t_tail), 0.9 * barrier)
-        else:
-            eps = eps_conv
-    return ClassifierConfig(eps_conv=eps, barrier=barrier,
-                            tail_fraction=tail_fraction)
-
-
-def monomial_classifier(k: float, t0: float, t_end: float,
-                        tail_fraction: float = 0.2,
-                        eps_conv: float | None = None,
-                        barrier: float | None = None) -> ClassifierConfig:
-    """Band scaled to the mean-flow magnitude |h| at the tail start."""
-    barrier = 3.0 if barrier is None else barrier
-    if eps_conv is None:
-        t_tail = tail_start(t0, t_end, tail_fraction)
-        eps_conv = min(2.5 * t_tail ** (1.0 / (1.0 - k)), 0.1)
-    return ClassifierConfig(eps_conv=eps_conv, barrier=barrier,
-                            tail_fraction=tail_fraction)
-
-
-def discrete_classifier(k: float, gamma: float, n0: int, n_end: int,
-                        tail_fraction: float = 0.2,
-                        eps_conv: float | None = None,
-                        barrier: float | None = None) -> ClassifierConfig:
-    """Band scaled to the discrete mean flow (1-gamma) n^{-(1-gamma)}."""
-    barrier = 3.0 if barrier is None else barrier
-    if eps_conv is None:
-        n_tail = tail_start(n0, n_end, tail_fraction)
-        eps_conv = min(3.0 * (1.0 - gamma) * n_tail ** (-(1.0 - gamma)), 0.1)
-    return ClassifierConfig(eps_conv=eps_conv, barrier=barrier,
-                            tail_fraction=tail_fraction)
 
 
 @dataclass(frozen=True)
@@ -263,6 +220,18 @@ def _runner_kind(config: ExperimentConfig) -> str:
     return "linear" if config.family == "linear" else "monomial"
 
 
+def _classifier(config: ExperimentConfig, t0: float, t_end: float,
+                default_barrier: float, band) -> ClassifierConfig:
+    """The config's barrier and eps_conv when set; else the regime's default
+    barrier and band(barrier, tail start)."""
+    barrier = default_barrier if config.barrier is None else config.barrier
+    eps = config.eps_conv
+    if eps is None:
+        eps = band(barrier, tail_start(t0, t_end, config.tail_fraction))
+    return ClassifierConfig(eps_conv=eps, barrier=barrier,
+                            tail_fraction=config.tail_fraction)
+
+
 def _build_runner(config: ExperimentConfig, k: float, gamma: float):
     """The runner of one cell: its model's spec, hypotheses and classifier.
     Each spec is built before the classifier, so DriftSpec's k bound is
@@ -274,18 +243,23 @@ def _build_runner(config: ExperimentConfig, k: float, gamma: float):
             raise ValueError("discrete dichotomy requires gamma in (1/2, 1) "
                              "(step-size hypothesis)")
         n_end = config.n0 + config.steps
-        cfg = discrete_classifier(k, gamma, config.n0, n_end,
-                                  config.tail_fraction, config.eps_conv,
-                                  config.barrier)
+        cfg = _classifier(config, config.n0, n_end, 3.0, lambda _, n_tail: min(
+            3.0 * (1.0 - gamma) * n_tail ** (-(1.0 - gamma)), 0.1))
         return DiscreteDichotomyRunner(
             drift=drift, noise=disc.NoiseSpec(config.noise, config.noise_bound),
             gamma=gamma, x0=config.x0, n0=config.n0, n_end=n_end, cfg=cfg)
     if kind == "linear":
         spec = ProcessSpec(DriftSpec("linear", k), NoiseSchedule("exp_half"),
                            t0=config.t0, x0=config.x0)
-        cfg = linear_classifier(k, config.x0, config.t0, config.horizon,
-                                config.tail_fraction, config.eps_conv,
-                                config.barrier)
+        if k >= 0.5:
+            cfg = _classifier(config, config.t0, config.horizon, abs(config.x0),
+                              lambda barrier, _: barrier / 100.0)
+        else:
+            sigma_inf = math.sqrt(1.0 / (1.0 - 2.0 * k))
+            cfg = _classifier(config, config.t0, config.horizon, 3.0,
+                              lambda barrier, t_tail: min(
+                                  3.0 * sigma_inf * math.exp(-k * t_tail),
+                                  0.9 * barrier))
     else:
         drift = DriftSpec("monomial", k, config.c, config.cap)
         if not 0.5 < gamma < 1.0:
@@ -295,31 +269,28 @@ def _build_runner(config: ExperimentConfig, k: float, gamma: float):
         schedule = NoiseSchedule("power_gamma" if config.raw_frame
                                  else "power_transformed", gamma)
         spec = ProcessSpec(drift, schedule, t0=config.t0, x0=config.x0)
-        cfg = monomial_classifier(k, config.t0, config.horizon,
-                                  config.tail_fraction, config.eps_conv,
-                                  config.barrier)
+        cfg = _classifier(config, config.t0, config.horizon, 3.0,
+                          lambda _, t_tail: min(2.5 * t_tail ** (1.0 / (1.0 - k)),
+                                                0.1))
     return ContinuousDichotomyRunner(spec=spec, t_end=config.horizon,
                                      dt=config.dt, cfg=cfg)
 
 
-def run_dichotomy(config: ExperimentConfig, k: float | None = None,
-                  gamma: float | None = None,
-                  base_seed: int | None = None) -> DichotomyOutput:
-    """Run one dichotomy cell: N classified trials plus the regime prediction."""
-    k = config.k if k is None else k
-    gamma = config.gamma if gamma is None else gamma
-    base_seed = config.seed if base_seed is None else base_seed
-    runner = _build_runner(config, k, gamma)
-    result = estimate_probability(runner, config.trials, base_seed,
-                                  jobs=config.jobs)
-    return _output(config, runner, result, k, gamma)
+def _run_cells(config: ExperimentConfig, cells, seeds) -> list[DichotomyOutput]:
+    """One DichotomyOutput per (k, gamma) cell, cell i on base seed seeds[i];
+    every cell's trials run in one estimate_probability call, on one pool."""
+    runners = [_build_runner(config, k, gamma) for k, gamma in cells]
+    results = estimate_probability(runners, config.trials, seeds, jobs=config.jobs)
+    return [DichotomyOutput(config, runner, result, k, gamma,
+                            *predict_regime(runner.model, k, gamma))
+            for (k, gamma), runner, result in zip(cells, runners, results)]
 
 
-def _output(config, runner, result, k, gamma) -> DichotomyOutput:
-    prediction, boundary = predict_regime(runner.model, k, gamma)
-    return DichotomyOutput(config=config, runner=runner, result=result,
-                           k=k, gamma=gamma, prediction=prediction,
-                           boundary=boundary)
+def run_dichotomy(config: ExperimentConfig) -> DichotomyOutput:
+    """Run one dichotomy cell, (config.k, config.gamma) on config.seed: N
+    classified trials plus the regime prediction, as a one-cell sweep."""
+    (out,) = _run_cells(config, [(config.k, config.gamma)], [config.seed])
+    return out
 
 
 def phase_sweep(config: ExperimentConfig) -> list[DichotomyOutput]:
@@ -327,18 +298,13 @@ def phase_sweep(config: ExperimentConfig) -> list[DichotomyOutput]:
     gamma.
 
     Cell seeds derive from (base seed, cell index), so the table is
-    reproducible cell-by-cell and independent of worker count.  Every
-    cell's trials run in one estimate_probability call, on one pool.
+    reproducible cell-by-cell and independent of worker count.
     """
-    sweep_cfg = dataclasses.replace(config, kind="sweep")
     cells = [(k, gamma) for k in config.k_values for gamma in config.gamma_values]
     if not cells:
         return []
-    runners = [_build_runner(sweep_cfg, k, gamma) for k, gamma in cells]
-    seeds = derive_seed(config.seed, np.arange(len(cells)))
-    results = estimate_probability(runners, config.trials, seeds, jobs=config.jobs)
-    return [_output(sweep_cfg, runner, result, k, gamma)
-            for (k, gamma), runner, result in zip(cells, runners, results)]
+    return _run_cells(dataclasses.replace(config, kind="sweep"), cells,
+                      derive_seed(config.seed, np.arange(len(cells))))
 
 
 @dataclass(eq=False)

@@ -172,9 +172,10 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
     noise their noise for step i; each observer's begin(x, part) sees the
     start state of the trials `part`, and its step(x, i + 1) the state
     after step i.  The noise comes either from a given `increments` array
-    (trials x n_steps), or from one generator per seed: sample(gen, out)
-    fills `out` with the next len(out) values of a trial's stream, and the
-    per-step `scale`, if given, multiplies the drawn block in place.
+    (trials x n_steps, only read, so a broadcast view will do), or from one
+    generator per seed: sample(gen, out) fills `out` with the next len(out)
+    values of a trial's stream, and the per-step `scale`, if given,
+    multiplies the drawn block in place.
 
     A run with a barrier only classifies, and its one observer is an
     Extremes.  A trial whose running max has passed the barrier is escaped

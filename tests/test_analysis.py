@@ -138,40 +138,41 @@ class ZeroNoiseEscapeRunner:
 
 class TestEstimateProbability:
     def test_deterministic_escape_has_full_count_and_unit_upper(self):
-        result = estimate_probability(ZeroNoiseEscapeRunner(), 50, 9)
+        (result,) = estimate_probability([ZeroNoiseEscapeRunner()], 50, [9])
         assert result.counts[Outcome.ESCAPED] == 50
         assert result.interval(Outcome.ESCAPED)[1] == 1.0
 
     def test_counts_sum_and_reproducibility(self):
-        a = estimate_probability(StubRunner(), 999, 123)
-        b = estimate_probability(StubRunner(), 999, 123)
+        (a,) = estimate_probability([StubRunner()], 999, [123])
+        (b,) = estimate_probability([StubRunner()], 999, [123])
         assert sum(a.counts.values()) == 999
         assert a.counts == b.counts
 
     def test_fair_coin_estimate_covered(self):
         # seed-parity stub is a fair coin over derived seeds
-        result = estimate_probability(StubRunner(), 2000, 77)
+        (result,) = estimate_probability([StubRunner()], 2000, [77])
         lo, hi = result.interval(Outcome.CONVERGED)
         assert lo <= 0.5 <= hi
 
     def test_jobs_do_not_change_counts(self):
-        serial = estimate_probability(StubRunner(), 700, 5, jobs=1)
-        parallel = estimate_probability(StubRunner(), 700, 5, jobs=2)
-        assert serial.counts == parallel.counts
+        serial = estimate_probability([StubRunner()], 700, [5], jobs=1)
+        parallel = estimate_probability([StubRunner()], 700, [5], jobs=2)
+        assert serial == parallel
 
     def test_requires_trials(self):
         with pytest.raises(ValueError):
-            estimate_probability(StubRunner(), 0, 1)
+            estimate_probability([StubRunner()], 0, [1])
 
     def test_requires_a_job(self):
         with pytest.raises(ValueError):
-            estimate_probability(StubRunner(), 10, 1, jobs=0)
+            estimate_probability([StubRunner()], 10, [1], jobs=0)
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_cells_in_one_call_equal_single_calls(self, jobs):
         runners = [StubRunner(), StubRunner(escape_all=True), StubRunner()]
         together = estimate_probability(runners, 300, [4, 5, 6], jobs=jobs)
-        alone = [estimate_probability(r, 300, s) for r, s in zip(runners, [4, 5, 6])]
+        alone = [estimate_probability([r], 300, [s])[0]
+                 for r, s in zip(runners, [4, 5, 6])]
         assert together == alone
 
     def test_block_width(self):

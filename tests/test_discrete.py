@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,13 @@ from saddlelab.rng import (NOISE_CHUNK, NonFiniteStateError, chunk_ranges,
                            derive_seed, make_rng)
 
 MONO = DriftSpec("monomial", 2.0, 1.0, 10.0)
+
+
+def draw(noise, rng, n):
+    """The next n values of rng's noise stream."""
+    out = np.empty(n)
+    noise.fill(rng, out)
+    return out
 
 
 def first_bad_step(run, *args):
@@ -25,7 +33,7 @@ class TestNoiseSpec:
     def test_rademacher_support_and_bound(self):
         noise = NoiseSpec("rademacher", 1.0)
         rng = make_rng(10)
-        draws = noise.sample_chunk(rng, 1_000_000)
+        draws = draw(noise, rng, 1_000_000)
         assert np.all(np.abs(draws) <= noise.M)
         assert set(np.unique(draws)) == {-1.0, 1.0}
         assert noise.variance_floor == 1.0
@@ -33,7 +41,7 @@ class TestNoiseSpec:
     def test_uniform_bound_and_floor(self):
         noise = NoiseSpec("uniform_centered", 2.0)
         rng = make_rng(11)
-        draws = noise.sample_chunk(rng, 1_000_000)
+        draws = draw(noise, rng, 1_000_000)
         assert np.all(np.abs(draws) <= 2.0)
         assert noise.variance_floor == pytest.approx(4.0 / 3.0)
         assert abs(draws.var() - 4.0 / 3.0) < 0.01
@@ -41,7 +49,7 @@ class TestNoiseSpec:
     def test_martingale_mean(self):
         noise = NoiseSpec("rademacher", 1.0)
         rng = make_rng(12)
-        draws = noise.sample_chunk(rng, 1_000_000)
+        draws = draw(noise, rng, 1_000_000)
         se = 1.0 / math.sqrt(len(draws))
         assert abs(draws.mean()) <= 4 * se
 
@@ -70,12 +78,24 @@ class TestSgdRecursion:
             expected.append(x)
         assert np.array_equal(traj.values, np.array(expected))
 
+    def test_noise_free_paths_allocate_little_beyond_the_record(self):
+        # the zero increments are a broadcast view, not a trials x steps array
+        seeds = [derive_seed(3, i) for i in range(4)]
+        tracemalloc.start()
+        try:
+            values = sgd_paths(DriftSpec("monomial", 2.0), 0.9, None, -0.2,
+                               10, 250_010, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * values.nbytes
+
     def test_rademacher_steps_have_exact_magnitude(self):
         gamma, x0, n0, n_end, seed = 0.7, -0.3, 1, 400, 77
         noise = NoiseSpec("rademacher", 1.0)
         traj = simulate_sgd(MONO, gamma, noise, x0, n0, n_end, seed)
         rng = make_rng(seed)
-        draws = np.concatenate([noise.sample_chunk(rng, b - a)
+        draws = np.concatenate([draw(noise, rng, b - a)
                                 for a, b in chunk_ranges(n_end - n0)])
         assert np.all(np.abs(draws) == 1.0)
         steps = np.arange(n0, n_end, dtype=float) ** (-gamma)

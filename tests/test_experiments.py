@@ -7,42 +7,64 @@ from saddlelab.analysis import ClassifierConfig, Outcome, classify
 from saddlelab.discrete import NoiseSpec, simulate_sgd
 from saddlelab.experiments import (ContinuousDichotomyRunner,
                                    DiscreteDichotomyRunner, ExperimentConfig,
-                                   discrete_classifier, linear_classifier,
-                                   monomial_classifier, phase_sweep,
-                                   run_dichotomy)
-from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
+                                   _build_runner, phase_sweep, run_dichotomy)
+from saddlelab.model import DriftSpec
 from saddlelab.rng import derive_seed
+
+
+def classifier(kind, k, gamma=0.9, **fields):
+    """The classifier _build_runner gives one cell of a kind's config."""
+    return _build_runner(ExperimentConfig(kind=kind, **fields), k, gamma).cfg
+
+
+LINEAR = dict(x0=-0.1, t0=0.0, horizon=15.0)
 
 
 class TestClassifierRules:
     def test_linear_supercritical_uses_low_barrier(self):
-        cfg = linear_classifier(0.8, -0.1, 0.0, 15.0)
-        assert cfg.barrier == pytest.approx(0.1)
-        assert cfg.eps_conv == pytest.approx(0.001)
+        cfg = classifier("linear-dichotomy", 0.8, **LINEAR)
+        assert cfg.barrier == 0.1
+        assert cfg.eps_conv == 0.1 / 100.0
 
     def test_linear_subcritical_band_from_decay_envelope(self):
-        cfg = linear_classifier(0.3, -0.1, 0.0, 15.0)
+        cfg = classifier("linear-dichotomy", 0.3, **LINEAR)
         assert cfg.barrier == 3.0
-        expected = 3.0 * math.sqrt(1 / 0.4) * math.exp(-0.3 * 12.0)
-        assert cfg.eps_conv == pytest.approx(expected)
+        t_tail = 0.0 + (1.0 - 0.2) * 15.0
+        assert cfg.eps_conv == 3.0 * math.sqrt(1.0 / (1.0 - 2.0 * 0.3)) * math.exp(
+            -0.3 * t_tail)
 
     def test_monomial_band_tracks_mean_flow(self):
-        cfg2 = monomial_classifier(2.0, 1.0, 200.0)
-        assert cfg2.eps_conv == pytest.approx(2.5 / 160.2, rel=1e-6)
-        cfg3 = monomial_classifier(3.0, 1.0, 200.0)
+        cfg2 = classifier("monomial-dichotomy", 2.0, t0=1.0, horizon=200.0)
+        t_tail = 1.0 + (1.0 - 0.2) * (200.0 - 1.0)
+        assert cfg2.eps_conv == 2.5 * t_tail ** (1.0 / (1.0 - 2.0))
+        cfg3 = classifier("monomial-dichotomy", 3.0, t0=1.0, horizon=200.0)
         assert cfg3.eps_conv == 0.1  # clipped
         assert cfg3.barrier == 3.0
 
     def test_discrete_band_tracks_mean_flow(self):
-        cfg = discrete_classifier(2.0, 0.9, 10, 1_000_010)
-        n_tail = 10 + 0.8 * 1_000_000
-        assert cfg.eps_conv == pytest.approx(
-            3.0 * 0.1 * n_tail ** -0.1, rel=1e-6)
+        cfg = classifier("discrete-dichotomy", 2.0, n0=10, steps=1_000_000)
+        n_tail = 10 + (1.0 - 0.2) * 1_000_000
+        assert cfg.eps_conv == 3.0 * (1.0 - 0.9) * n_tail ** (-(1.0 - 0.9))
+        assert cfg.barrier == 3.0
 
     def test_explicit_overrides_win(self):
-        cfg = linear_classifier(0.8, -0.1, 0.0, 15.0, eps_conv=0.02, barrier=2.0)
-        assert cfg.eps_conv == 0.02
-        assert cfg.barrier == 2.0
+        cfg = classifier("linear-dichotomy", 0.8, eps_conv=0.02, barrier=2.0,
+                         **LINEAR)
+        assert (cfg.eps_conv, cfg.barrier) == (0.02, 2.0)
+
+    @pytest.mark.parametrize("kind, k, override, expected", [
+        ("linear-dichotomy", 0.8, {"barrier": 0.5}, (0.5 / 100.0, 0.5)),
+        # the envelope 3 sigma_inf e^{-0.3 t_tail} is 0.129 at t_tail = 12
+        ("linear-dichotomy", 0.3, {"barrier": 0.1}, (0.9 * 0.1, 0.1)),
+        ("linear-dichotomy", 0.8, {"eps_conv": 0.05}, (0.05, 0.1)),
+        ("linear-dichotomy", 0.3, {"eps_conv": 0.05}, (0.05, 3.0)),
+        ("monomial-dichotomy", 2.0, {"eps_conv": 0.05}, (0.05, 3.0)),
+        ("discrete-dichotomy", 2.0, {"eps_conv": 0.05}, (0.05, 3.0)),
+    ])
+    def test_one_override_keeps_the_other_rule(self, kind, k, override, expected):
+        fields = LINEAR if kind == "linear-dichotomy" else {}
+        cfg = classifier(kind, k, **fields, **override)
+        assert (cfg.eps_conv, cfg.barrier) == expected
 
 
 class TestExperimentConfig:
@@ -100,20 +122,21 @@ class TestHypothesisValidation:
 
 class TestRunners:
     def test_linear_runner_outcomes(self):
-        cfg = linear_classifier(0.8, -0.1, 0.0, 4.0)
-        spec = ProcessSpec(DriftSpec("linear", 0.8), NoiseSchedule("exp_half"),
-                           t0=0.0, x0=-0.1)
-        runner = ContinuousDichotomyRunner(spec=spec, t_end=4.0, dt=1e-2, cfg=cfg)
+        config = ExperimentConfig(kind="linear-dichotomy", k=0.8, x0=-0.1,
+                                  t0=0.0, horizon=4.0, dt=1e-2)
+        runner = _build_runner(config, 0.8, config.gamma)
+        assert isinstance(runner, ContinuousDichotomyRunner)
         outcomes = runner([derive_seed(1, i) for i in range(16)])
         assert len(outcomes) == 16
         assert all(isinstance(oc, Outcome) for oc in outcomes)
 
     def test_discrete_runner_outcomes(self):
-        cfg = discrete_classifier(2.0, 0.9, 10, 2010)
-        runner = DiscreteDichotomyRunner(drift=DriftSpec("monomial", 2.0, 1.0, 10.0),
-                                         noise=NoiseSpec("rademacher", 1.0),
-                                         gamma=0.9, x0=-0.2, n0=10, n_end=2010,
-                                         cfg=cfg)
+        config = ExperimentConfig(kind="discrete-dichotomy", n0=10, steps=2000)
+        runner = _build_runner(config, 2.0, 0.9)
+        assert runner == DiscreteDichotomyRunner(
+            drift=DriftSpec("monomial", 2.0, 1.0, 10.0),
+            noise=NoiseSpec("rademacher", 1.0), gamma=0.9, x0=-0.2, n0=10,
+            n_end=2010, cfg=runner.cfg)
         outcomes = runner([derive_seed(2, i) for i in range(8)])
         assert len(outcomes) == 8
 

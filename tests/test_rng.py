@@ -5,7 +5,7 @@ import pytest
 
 from saddlelab import continuous, discrete, rng
 from saddlelab.analysis import classify_stats
-from saddlelab.experiments import discrete_classifier, monomial_classifier
+from saddlelab.experiments import ExperimentConfig, _build_runner
 from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
 from saddlelab.rng import (Extremes, NonFiniteStateError, Record, chunk_ranges,
                            derive_seed, drive, make_rng)
@@ -199,7 +199,8 @@ def test_retired_em_counts_equal_full_stepping(monkeypatch, gamma, size):
     spec = ProcessSpec(DriftSpec("monomial", 2.0),
                        NoiseSchedule("power_transformed", gamma), t0=1.0, x0=-0.2)
     grid = continuous.TimeGrid(1.0, 12.0, 1e-2)
-    cfg = monomial_classifier(2.0, 1.0, 12.0)
+    config = ExperimentConfig(kind="monomial-dichotomy", t0=1.0, horizon=12.0)
+    cfg = _build_runner(config, 2.0, gamma).cfg
     seeds = [derive_seed(61, i) for i in range(16)]
     tail = cfg.tail_start(1.0, 12.0)
     full = continuous.em_batch(spec, grid, seeds, tail_start=tail)
@@ -216,7 +217,8 @@ def test_retired_em_counts_equal_full_stepping(monkeypatch, gamma, size):
 def test_retired_recursion_counts_equal_full_stepping(monkeypatch, gamma, size):
     drift = DriftSpec("monomial", 2.0, 1.0, 10.0)
     noise = discrete.NoiseSpec("rademacher")
-    cfg = discrete_classifier(2.0, gamma, 10, 1210)
+    config = ExperimentConfig(kind="discrete-dichotomy", n0=10, steps=1200)
+    cfg = _build_runner(config, 2.0, gamma).cfg
     seeds = [derive_seed(62, i) for i in range(16)]
     tail = cfg.tail_start(10, 1210)
     full = discrete.sgd_batch(drift, gamma, noise, -0.2, 10, 1210, seeds,
