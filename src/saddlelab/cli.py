@@ -199,7 +199,7 @@ def _dump_trajectories(out: DichotomyOutput, out_dir: Path) -> None:
     batch by the runner that counted them."""
     seeds = trial_seeds(out.result.base_seed,
                         min(out.config.trials, out.config.dump_max))
-    np.savez_compressed(out_dir / "trajectories.npz", **out.runner.paths(seeds))
+    np.savez(out_dir / "trajectories.npz", **out.runner.paths(seeds))
 
 
 def _run_experiment_command(config: ExperimentConfig) -> int:

@@ -133,12 +133,16 @@ def _em_coefficients(noise: NoiseSchedule, grid: TimeGrid):
 def _em_drive(spec: ProcessSpec, grid: TimeGrid, observers, seeds=None,
               increments=None, barrier: float | None = None) -> np.ndarray:
     """EM states x_{i+1} = x_i + (f(x_i) w dt_i + g dW_i), one trial per
-    seed (or per row of increments), stepped by the driver."""
+    seed (or per row of increments), stepped by the driver in place, with
+    each product and sum in that order."""
     wdt, g, sqrt_dt = _em_coefficients(spec.noise, grid)
     drift = spec.drift
 
     def update(x, step, dw):
-        x += drift_eval(drift, x) * wdt[step] + g[step] * dw
+        d = drift_eval(drift, x)
+        d *= wdt[step]
+        d += g[step] * dw
+        x += d
 
     n_trials = len(seeds) if increments is None else len(increments)
     return drive(np.full(n_trials, float(spec.x0)), grid.n_steps, update,
@@ -217,8 +221,11 @@ def _coupled_drive(spec_a: ProcessSpec, spec_b: ProcessSpec, x0_a: float,
 
     def update(x, step, dw):
         noise = g[step] * dw
-        x[0] += drift_eval(drift_a, x[0]) * wdt[step] + noise
-        x[1] += drift_eval(drift_b, x[1]) * wdt[step] + noise
+        for row, drift in ((x[0], drift_a), (x[1], drift_b)):
+            d = drift_eval(drift, row)
+            d *= wdt[step]
+            d += noise
+            row += d
 
     state = np.empty((2, len(seeds) if increments is None else len(increments)))
     state[0], state[1] = x0_a, x0_b
@@ -350,23 +357,39 @@ def linear_hit_zero_mc(k: float, x_s: float, s: float, t_end: float,
     """
     if x_s >= 0:
         raise ValueError("hitting probe starts from a negative state")
+    if n_paths < 0:
+        raise ValueError("n_paths must be non-negative")
     b = -math.exp(k * s) * x_s
     tau_end = float(gaussian_clock(k, s, t_end))
     dtau = tau_end / HIT_GRID
+    sqrt_dtau = math.sqrt(dtau)
+    # one block of draws, reused: the walk's increments, then the bridge's
+    # uniforms for the paths that stayed below b
+    buffer = np.empty((min(HIT_BLOCK, n_paths), HIT_GRID))
     hits = 0
     done = 0
     batch_index = 0
     while done < n_paths:
         m = min(HIT_BLOCK, n_paths - done)
         rng = make_rng(derive_seed(seed, batch_index))
-        incr = rng.standard_normal((m, HIT_GRID)) * math.sqrt(dtau)
-        w = np.cumsum(incr, axis=1)
+        w = buffer[:m]
+        rng.standard_normal(out=w)
+        w *= sqrt_dtau
+        np.cumsum(w, axis=1, out=w)
         crossed = (w >= b).any(axis=1)
         alive = np.flatnonzero(~crossed)
         if len(alive):
-            w_alive = np.concatenate((np.zeros((len(alive), 1)), w[alive]), axis=1)
-            p_bridge = np.exp(-2.0 * (b - w_alive[:, :-1]) * (b - w_alive[:, 1:]) / dtau)
-            u = rng.random((len(alive), HIT_GRID))
+            # gap[:, j] = b - w at node j + 1; at node 0, w = 0 and b - 0 = b
+            gap = w[alive]
+            np.subtract(b, gap, out=gap)
+            expo = np.empty_like(gap)
+            expo[:, 0] = -2.0 * b
+            np.multiply(-2.0, gap[:, :-1], out=expo[:, 1:])
+            expo *= gap
+            expo /= dtau
+            p_bridge = np.exp(expo, out=expo)
+            u = buffer[:len(alive)]
+            rng.random(out=u)
             crossed[alive] = (u < p_bridge).any(axis=1)
         hits += int(crossed.sum())
         done += m

@@ -94,7 +94,8 @@ def _sgd_drive(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: floa
                n0: int, n_end: int, seeds, observers,
                barrier: float | None = None) -> np.ndarray:
     """X_{n+1} = X_n + (f(X_n)/n^gamma + Y_{n+1}/n^gamma), one trial per seed,
-    stepped by the driver; noise=None runs the noise-free recursion."""
+    stepped by the driver in place, with each product and sum in that
+    order; noise=None runs the noise-free recursion."""
     if not 0.5 < gamma < 1.0:
         raise ValueError("discrete recursion requires gamma in (1/2, 1)")
     if not (n0 >= 1 and n_end > n0):
@@ -103,9 +104,13 @@ def _sgd_drive(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: floa
     inv_ng = np.arange(n0, n_end, dtype=float)
     inv_ng **= -gamma
 
-    def update(x, step, y):
-        h = inv_ng[step]
-        x += drift_eval(drift, x) * h + y * h
+    def update(x, step, yh):
+        # yh is Y_{n+1}/n^gamma, scaled by the driver (0 on the noise-free
+        # path, where 0 * h == 0 makes scaling moot)
+        d = drift_eval(drift, x)
+        d *= inv_ng[step]
+        d += yh
+        x += d
 
     x = np.full(len(seeds), float(x0))
     if noise is None:
@@ -113,7 +118,7 @@ def _sgd_drive(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: floa
                      increments=np.broadcast_to(0.0, (len(seeds), steps)),
                      barrier=barrier)
     return drive(x, steps, update, observers, seeds=seeds, sample=noise.fill,
-                 barrier=barrier)
+                 scale=inv_ng, barrier=barrier)
 
 
 def simulate_sgd(drift: DriftSpec, gamma: float, noise: NoiseSpec | None,

@@ -79,11 +79,24 @@ class DriftSpec:
 
 
 def drift_eval(spec: DriftSpec, x):
-    """Evaluate f at x (scalar or ndarray); even in x and nonnegative."""
+    """Evaluate f at x (scalar or ndarray); even in x and nonnegative.
+
+    A float array gets one new array, |x|, which every later factor
+    updates in place; x itself is never written."""
     ax = np.abs(x)
+    if not (isinstance(ax, np.ndarray) and ax.dtype.kind == "f"):
+        # scalars, 0-d input and integer arrays, which the products promote
+        if spec.family == LINEAR:
+            return spec.k * ax
+        return spec.c * np.minimum(ax, spec.cap) ** spec.k
     if spec.family == LINEAR:
-        return spec.k * ax
-    return spec.c * np.minimum(ax, spec.cap) ** spec.k
+        ax *= spec.k
+        return ax
+    np.minimum(ax, spec.cap, out=ax)
+    ax **= spec.k
+    if spec.c != 1.0:  # v * 1.0 == v
+        ax *= spec.c
+    return ax
 
 
 @dataclass(frozen=True)

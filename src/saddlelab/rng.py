@@ -315,9 +315,9 @@ class FirstViolation:
         self._view[x[0] < x[1]] = 0
 
     def step(self, x, index):
-        bad = (x[0] < x[1]) & (self._view < 0)
-        if np.any(bad):
-            self._view[bad] = index
+        below = x[0] < x[1]
+        if below.any():
+            self._view[below & (self._view < 0)] = index
 
 
 class Record:

@@ -5,7 +5,7 @@ import pytest
 
 from saddlelab.continuous import (BrownianPath, NonFiniteStateError, TimeGrid,
                                   _em_drive, brownian_increments,
-                                  coupled_violations_batch, em_batch,
+                                  coupled_violations_batch, em_batch, em_paths,
                                   gaussian_clock, linear_exact_batch,
                                   linear_hit_zero_mc, quadratic_variation,
                                   simulate_coupled, simulate_em)
@@ -34,6 +34,36 @@ def linear_em_reference(spec, grid, dw):
         x = x + (spec.drift.k * abs(x) * float(wdt[i]) + float(g[i]) * float(dw[i]))
         values.append(x)
     return values
+
+
+def one_expression_drift(spec, x):
+    """f(x) as a single expression, with no step done in place."""
+    if spec.family == "linear":
+        return spec.k * np.abs(x)
+    return spec.c * np.minimum(np.abs(x), spec.cap) ** spec.k
+
+
+def em_reference(spec, grid, dw):
+    """EM as a plain loop, x += f(x) w dt + g dW per step, one trial per row
+    of dw; shape (trials, n_steps + 1)."""
+    t = grid.times()[:-1]
+    wdt = spec.noise.drift_weight(t) * grid.step_sizes()
+    g = spec.noise.g(t)
+    x = np.full(len(dw), float(spec.x0))
+    values = [x.copy()]
+    for i in range(grid.n_steps):
+        x += one_expression_drift(spec.drift, x) * wdt[i] + g[i] * dw[:, i]
+        values.append(x.copy())
+    return np.array(values).T
+
+
+# monomial drifts start at |x0| = 0.6 above their cap of 0.5
+IN_PLACE_DRIFTS = [DriftSpec("linear", 0.3)] + [
+    DriftSpec("monomial", k, c, 0.5) for k in (1.5, 2.0, 3.0) for c in (1.0, 0.7)]
+IN_PLACE_IDS = [f"{d.family}-k{d.k:g}-c{d.c:g}" for d in IN_PLACE_DRIFTS]
+IN_PLACE_SCHEDULES = pytest.mark.parametrize(
+    "schedule, t0", [(EXP, 0.0), (NoiseSchedule("power_gamma", 0.7), 1.0)],
+    ids=["exp_half", "power_gamma"])
 
 
 def first_bad_step(run, *args):
@@ -211,6 +241,38 @@ class TestEulerMaruyama:
         band = BandEntered(len(seeds), 0.4, 0.6)
         _em_drive(spec, grid, [band], seeds=seeds)
         assert band.value.mean() > 0.0
+
+
+@pytest.mark.parametrize("drift", IN_PLACE_DRIFTS, ids=IN_PLACE_IDS)
+@IN_PLACE_SCHEDULES
+def test_in_place_em_update_equals_the_plain_loop(drift, schedule, t0):
+    spec = ProcessSpec(drift, schedule, t0=t0, x0=-0.6)
+    grid = TimeGrid(t0, t0 + 4.0, 5e-3)
+    seeds = [derive_seed(19, i) for i in range(5)]
+    dw = np.array([brownian_increments(grid, s).increments for s in seeds])
+    assert np.array_equal(em_paths(spec, grid, seeds), em_reference(spec, grid, dw))
+
+
+@pytest.mark.parametrize("drift", IN_PLACE_DRIFTS, ids=IN_PLACE_IDS)
+@IN_PLACE_SCHEDULES
+def test_in_place_coupled_update_equals_the_plain_loop(drift, schedule, t0):
+    # each row of the pair is its own EM path on the shared increments; the
+    # drifts differ, so the ordering fails on some trials
+    spec_a = ProcessSpec(drift, schedule, t0=t0, x0=-0.6)
+    spec_b = ProcessSpec(DriftSpec("linear", 0.8), schedule, t0=t0, x0=-0.61)
+    grid = TimeGrid(t0, t0 + 4.0, 5e-3)
+    seeds = [derive_seed(23, i) for i in range(8)]
+    first = coupled_violations_batch(spec_a, spec_b, spec_a.x0, spec_b.x0, grid, seeds)
+    paths = [brownian_increments(grid, s) for s in seeds]
+    dw = np.array([p.increments for p in paths])
+    ref_a, ref_b = em_reference(spec_a, grid, dw), em_reference(spec_b, grid, dw)
+    for i, path in enumerate(paths):
+        a, b = simulate_coupled(spec_a, spec_b, spec_a.x0, spec_b.x0, grid, path)
+        assert np.array_equal(a.values, ref_a[i])
+        assert np.array_equal(b.values, ref_b[i])
+    below = ref_a < ref_b
+    assert below.any() and not below.all()
+    assert np.array_equal(first, np.where(below.any(axis=1), below.argmax(axis=1), -1))
 
 
 class TestCoupling:
@@ -402,3 +464,8 @@ class TestHitZero:
     def test_requires_negative_start(self):
         with pytest.raises(ValueError):
             linear_hit_zero_mc(0.3, 0.5, 0.0, 30.0, 100, 0)
+
+    def test_path_count_domain(self):
+        assert linear_hit_zero_mc(0.3, -0.5, 0.0, 30.0, 0, 0) == (0, 0)
+        with pytest.raises(ValueError):
+            linear_hit_zero_mc(0.3, -0.5, 0.0, 30.0, -1, 0)

@@ -173,6 +173,45 @@ class TestSgdRecursion:
             simulate_sgd(MONO, 0.9, None, -0.2, 10, 10, 0)
 
 
+def one_expression_drift(spec, x):
+    """f(x) as a single expression, with no step done in place."""
+    if spec.family == "linear":
+        return spec.k * np.abs(x)
+    return spec.c * np.minimum(np.abs(x), spec.cap) ** spec.k
+
+
+def sgd_reference(drift, gamma, noise, x0, n0, n_end, seeds):
+    """The recursion as a plain loop, x += f(x) h + y h per step, on each
+    seed's draws (zeros when noise is None); shape (trials, steps + 1)."""
+    steps = n_end - n0
+    h = np.arange(n0, n_end, dtype=float) ** -gamma
+    y = (np.zeros((len(seeds), steps)) if noise is None else
+         np.array([draw(noise, make_rng(s), steps) for s in seeds]))
+    x = np.full(len(seeds), float(x0))
+    values = [x.copy()]
+    for i in range(steps):
+        x += one_expression_drift(drift, x) * h[i] + y[:, i] * h[i]
+        values.append(x.copy())
+    return np.array(values).T
+
+
+# monomial drifts start at |x0| = 0.6 above their cap of 0.5
+IN_PLACE_DRIFTS = [DriftSpec("linear", 0.3)] + [
+    DriftSpec("monomial", k, c, 0.5) for k in (1.5, 2.0, 3.0) for c in (1.0, 0.7)]
+
+
+@pytest.mark.parametrize("drift", IN_PLACE_DRIFTS,
+                         ids=lambda d: f"{d.family}-k{d.k:g}-c{d.c:g}")
+@pytest.mark.parametrize("noise", [NoiseSpec("rademacher", 0.7),
+                                   NoiseSpec("uniform_centered", 1.0), None],
+                         ids=["rademacher", "uniform", "noise-free"])
+def test_in_place_update_equals_the_plain_loop(drift, noise):
+    seeds = [derive_seed(17, i) for i in range(5)]
+    paths = sgd_paths(drift, 0.6, noise, -0.6, 1, 2001, seeds)
+    expected = sgd_reference(drift, 0.6, noise, -0.6, 1, 2001, seeds)
+    assert np.array_equal(paths, expected)
+
+
 class TestZDiagnostics:
     def test_z_is_minus_one_on_mean_flow(self):
         frame = MeanFlowFrame("discrete", 2.0, 0.9)

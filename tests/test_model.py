@@ -36,6 +36,32 @@ def test_drift_even_nonnegative_monotone():
         assert np.all(diffs >= -1e-12)
 
 
+def one_expression_drift(spec, x):
+    """f(x) as a single expression, with no step done in place."""
+    if spec.family == "linear":
+        return spec.k * np.abs(x)
+    return spec.c * np.minimum(np.abs(x), spec.cap) ** spec.k
+
+
+@pytest.mark.parametrize("spec", [DriftSpec("linear", 0.3)] + [
+    DriftSpec("monomial", k, c, 0.5) for k in (1.5, 2.0, 3.0) for c in (1.0, 0.7)],
+    ids=lambda spec: f"{spec.family}-k{spec.k:g}-c{spec.c:g}")
+def test_drift_eval_in_place_gives_the_one_expression_values(spec):
+    xs = np.random.default_rng(4).uniform(-3.0, 3.0, 257)
+    xs[:3] = 0.0, -0.0, spec.cap        # the origin and the cap itself
+    kept = xs.copy()
+    for x in (xs, xs.astype(np.float32), np.arange(-3, 4), xs[::3]):
+        got, expected = drift_eval(spec, x), one_expression_drift(spec, x)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert not np.shares_memory(got, x)
+    assert np.array_equal(xs, kept)
+    for x in (-1.7, 0.25, spec.cap, np.float64(-0.4), np.array(2.0), np.array(-0.1)):
+        got, expected = drift_eval(spec, x), one_expression_drift(spec, x)
+        assert type(got) is type(expected)
+        assert got == expected
+
+
 def test_drift_validation():
     with pytest.raises(ValueError):
         DriftSpec("linear", 0.0)

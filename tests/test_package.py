@@ -46,6 +46,42 @@ def test_every_span_site_resolves(module, attr, name):
     assert callable(getattr(module, attr, None))
 
 
+def test_tracer_counts_one_drift_eval_per_step():
+    # the tracer counts drift_eval calls and, against a followed barrier,
+    # the trial-steps of the state vector each call is handed; a kernel that
+    # stopped calling drift_eval per step would read 0 on both
+    from saddlelab import continuous, discrete
+    from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
+
+    drift = DriftSpec("monomial", 2.0)
+    spec = ProcessSpec(drift, NoiseSchedule("exp_half"), t0=0.0, x0=-0.2)
+    grid = continuous.TimeGrid(0.0, 1.0, 0.01)
+    seeds, barrier = range(5), 1e6   # a barrier no trial reaches
+    runs = [  # (kernel call, steps, drift_eval calls per step, barrier)
+        (lambda: discrete.sgd_batch(drift, 0.9, discrete.NoiseSpec("rademacher"),
+                                    -0.2, 10, 110, seeds, barrier=barrier),
+         100, 1, barrier),
+        (lambda: continuous.em_batch(spec, grid, seeds, barrier=barrier),
+         100, 1, barrier),
+        (lambda: continuous.coupled_violations_batch(spec, spec, 0.1, -0.1, grid,
+                                                     seeds),
+         100, 2, None),
+    ]
+    tracer = TRACING.Tracer()
+    for run, steps, per_step, followed in runs:
+        tracer.reset()
+        tracer.install()
+        try:
+            tracer.follow(followed)
+            run()
+        finally:
+            tracer.follow(None)
+            tracer.uninstall()
+        assert tracer.drift_calls == per_step * steps
+        if followed is not None:
+            assert tracer.useful_steps == tracer.classified_steps == len(seeds) * steps
+
+
 def test_tracer_installs_and_uninstalls():
     tracer = TRACING.Tracer()
     before = {name: dict(vars(importlib.import_module(f"saddlelab.{name}")))
