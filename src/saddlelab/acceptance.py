@@ -8,6 +8,7 @@ so a pass is reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import time
 from dataclasses import dataclass
@@ -23,6 +24,10 @@ from .model import DriftSpec, NoiseSchedule, ProcessSpec, gamma_threshold
 from .rng import derive_seed, make_rng
 
 BASE_SEED = 20260810
+
+# worker pool size for the dichotomy runs of the criteria run_acceptance is
+# running; no count depends on it
+_JOBS = contextvars.ContextVar("jobs", default=1)
 
 # never-return probabilities for k = 0.3, s = 0: alpha = 2 P(N(0, 2.5) > |x_s|),
 # frozen from the normal CDF independently of the sampler under test
@@ -49,7 +54,7 @@ class CriterionResult:
 def criterion_1_linear_supercritical() -> tuple[bool, str]:
     config = ExperimentConfig(kind="linear-dichotomy", family="linear", k=0.8,
                               x0=-0.1, t0=0.0, horizon=15.0, dt=1e-3,
-                              trials=2000, seed=BASE_SEED, jobs=1)
+                              trials=2000, seed=BASE_SEED, jobs=_JOBS.get())
     out = run_dichotomy(config)
     conv = out.result.estimate(Outcome.CONVERGED)
     esc = out.result.estimate(Outcome.ESCAPED)
@@ -62,7 +67,7 @@ def criterion_1_linear_supercritical() -> tuple[bool, str]:
 def criterion_2_linear_subcritical() -> tuple[bool, str]:
     config = ExperimentConfig(kind="linear-dichotomy", family="linear", k=0.3,
                               x0=-0.1, t0=0.0, horizon=15.0, dt=1e-3,
-                              trials=2000, seed=BASE_SEED, jobs=1)
+                              trials=2000, seed=BASE_SEED, jobs=_JOBS.get())
     out = run_dichotomy(config)
     conv = out.result.estimate(Outcome.CONVERGED)
     esc = out.result.estimate(Outcome.ESCAPED)
@@ -107,7 +112,7 @@ def criterion_4_monomial_phase_flip() -> tuple[bool, str]:
                                       horizon=200.0, dt=1e-3, trials=1000,
                                       seed=derive_seed(BASE_SEED, int(k * 100),
                                                        int(gamma * 100)),
-                                      jobs=1)
+                                      jobs=_JOBS.get())
             out = run_dichotomy(config)
             conv = out.result.estimate(Outcome.CONVERGED)
             esc = out.result.estimate(Outcome.ESCAPED)
@@ -145,7 +150,7 @@ def criterion_5_discrete_phase_flip() -> tuple[bool, str]:
                                   noise_bound=1.0, x0=-0.2, n0=10,
                                   steps=1_000_000, trials=500,
                                   seed=derive_seed(BASE_SEED, int(gamma * 100)),
-                                  jobs=1)
+                                  jobs=_JOBS.get())
         out = run_dichotomy(config)
         conv = out.result.estimate(Outcome.CONVERGED)
         lo = out.result.interval(Outcome.CONVERGED)[0]
@@ -274,7 +279,7 @@ def criterion_10_reproducibility() -> tuple[bool, str]:
 
     config = ExperimentConfig(kind="monomial-dichotomy", k=2.0, gamma=0.9,
                               x0=-0.2, t0=1.0, horizon=30.0, dt=1e-2,
-                              trials=64, seed=BASE_SEED, jobs=1)
+                              trials=64, seed=BASE_SEED, jobs=_JOBS.get())
     first = run_dichotomy(config)
     again = run_dichotomy(ExperimentConfig.from_dict(
         ExperimentConfig.from_dict(config.to_dict()).to_dict()))
@@ -322,14 +327,22 @@ def run_criterion(name: str, fn) -> CriterionResult:
                            elapsed_s=time.time() - started)
 
 
-def run_acceptance(only: str | None = None) -> list[CriterionResult]:
+def run_acceptance(only: str | None = None, jobs: int = 1) -> list[CriterionResult]:
+    """Run every criterion (or the one numbered `only`), printing its line;
+    the dichotomy runs use a pool of `jobs` workers."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
     results = []
-    for name, fn in CRITERIA:
-        if only is not None and not name.startswith(f"{only}."):
-            continue
-        result = run_criterion(name, fn)
-        print(result.line, flush=True)
-        results.append(result)
+    token = _JOBS.set(jobs)
+    try:
+        for name, fn in CRITERIA:
+            if only is not None and not name.startswith(f"{only}."):
+                continue
+            result = run_criterion(name, fn)
+            print(result.line, flush=True)
+            results.append(result)
+    finally:
+        _JOBS.reset(token)
     if only is not None and not results:
         raise ValueError(f"no acceptance criterion numbered {only!r}")
     return results

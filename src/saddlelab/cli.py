@@ -163,7 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--urn-total0", type=int, dest="urn_total0")
     v = sub.add_parser("validate", help="run the acceptance suite")
     v.add_argument("--criterion", help="run a single criterion by number")
-    v.add_argument("--jobs", type=int)
+    v.add_argument("--jobs", type=int,
+                   help="worker pool size for the criteria's dichotomy runs "
+                        "(default 1)")
     return parser
 
 
@@ -248,7 +250,8 @@ def _run_validate(args: argparse.Namespace) -> int:
     from .acceptance import run_acceptance
 
     only = getattr(args, "criterion", None)
-    results = run_acceptance(only=only)
+    jobs = 1 if args.jobs is None else args.jobs
+    results = run_acceptance(only=only, jobs=jobs)
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -30,7 +30,8 @@ import numpy as np
 
 from .continuous import Trajectory
 from .model import DriftSpec, MeanFlowFrame, drift_eval, mean_flow_h
-from .rng import NOISE_CHUNK, Extremes, Record, chunk_ranges, drive, make_rng
+from .rng import (NOISE_CHUNK, Extremes, Record, chunk_ranges, drive, make_rng,
+                  stream_keys)
 
 __all__ = [
     "NoiseSpec",
@@ -216,8 +217,8 @@ def _urn_red_counts(spec: UrnSpec, n_end: int, seeds, observers=()) -> np.ndarra
         # u < value never reads the state: count each stream chunk by chunk
         red = np.full(len(seeds), float(spec.red0))
         buffer = np.empty(min(n_end - n0, NOISE_CHUNK))
-        for trial, seed in enumerate(seeds):
-            gen = make_rng(seed)
+        for trial, key in enumerate(stream_keys(seeds)):
+            gen = make_rng(key)
             for a, b in chunk_ranges(n_end - n0):
                 _uniform(gen, buffer[:b - a])
                 red[trial] += np.count_nonzero(buffer[:b - a] < spec.value)

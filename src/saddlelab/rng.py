@@ -3,13 +3,20 @@
 Every trajectory owns an independent generator keyed by
 derive_seed(base_seed, *indices); the rule is a pure function of its
 arguments, and an integer array as the last index derives one key per
-entry in one call.  Every simulator advances its state through `drive`, so
-a trial runs the same update arithmetic whether it runs alone (a batch of
-one), in a batch, or on a worker process, and it consumes the same stream
-because the stream is its own.  numpy's draws do not depend on how a stream
-is cut into requests (the test suite pins this), so NOISE_CHUNK
-(RETIRE_CHUNK in a run that retires escaped trials) only bounds the size of
-the draw buffer.
+entry in one call.  A trial's generator is numpy's PCG64 seeded as
+np.random.default_rng(seed) seeds it: with the four words SeedSequence(seed)
+generates.  stream_keys computes those words for a whole part of trials in
+one numpy pass, so no trial runs SeedSequence itself; both this and
+derive_seed go through one copy of SeedSequence's arithmetic.
+
+Every simulator advances its state through `drive`, so a trial runs the
+same update arithmetic whether it runs alone (a batch of one), in a batch,
+or on a worker process, and it consumes the same stream because the stream
+is its own.  numpy's draws do not depend on how a stream is cut into
+requests (the test suite pins this), so NOISE_CHUNK (RETIRE_CHUNK in a run
+that retires escaped trials) never changes a value.  It does set the size
+of the draw buffer, how many draw calls a run makes, and, in a run that
+retires escaped trials, how soon after its escape a trial stops.
 
 The draw buffer holds one row per trial, and each step reads its noise down
 a column.  Its rows lie an odd number of 64-byte cache lines apart: the
@@ -24,9 +31,9 @@ import functools
 
 import numpy as np
 
-__all__ = ["NOISE_CHUNK", "RETIRE_CHUNK", "TRIAL_CAP", "derive_seed", "make_rng",
-           "chunk_ranges", "NonFiniteStateError", "drive", "Extremes",
-           "FirstViolation", "Record"]
+__all__ = ["NOISE_CHUNK", "RETIRE_CHUNK", "TRIAL_CAP", "derive_seed", "StreamKey",
+           "stream_keys", "make_rng", "chunk_ranges", "NonFiniteStateError",
+           "drive", "Extremes", "FirstViolation", "Record"]
 
 NOISE_CHUNK = 8192
 RETIRE_CHUNK = 512  # steps per draw of TRIAL_CAP trials that retire when escaped
@@ -75,18 +82,36 @@ def _mix(x, y):
     return value ^ (value >> 16)
 
 
-@functools.lru_cache(maxsize=64)
-def _mixed_pool(head: tuple) -> tuple:
+def _mix_pool(head) -> tuple:
     """SeedSequence's pool once its first _POOL_SIZE entropy words are hashed
-    in and mixed together, and the hash constant it goes on from.  Every
-    key derived from one base seed shares it, so it is kept."""
+    in and mixed together, and the hash constant it goes on from."""
     hashmix = _HashMix(_INIT_A, _MULT_A)
     pool = [hashmix(word) for word in head]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    return tuple(pool), hashmix.const
+    return pool, hashmix.const
+
+
+@functools.lru_cache(maxsize=64)
+def _mixed_pool(head: tuple) -> tuple:
+    """_mix_pool of int words, kept: every key derived from one base seed
+    shares it."""
+    pool, const = _mix_pool(head)
+    return tuple(pool), const
+
+
+def _generate(pool, n_words: int) -> list:
+    """The first n_words 32-bit words SeedSequence generates from its mixed
+    pool, which it cycles through."""
+    output = _HashMix(_INIT_B, _MULT_B)
+    return [output(pool[i % _POOL_SIZE]) for i in range(n_words)]
+
+
+def _join(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """uint64s from their low and high 32-bit words."""
+    return low.astype(np.uint64) | (high.astype(np.uint64) << np.uint64(32))
 
 
 def _first_state_words(entropy: list):
@@ -98,12 +123,11 @@ def _first_state_words(entropy: list):
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
-    output = _HashMix(_INIT_B, _MULT_B)
-    return output(pool[0]), output(pool[1])
+    return _generate(pool, 2)
 
 
 def derive_seed(base_seed: int, *indices):
-    """Fixed splitting rule: (base, i, j, ...) -> 64-bit stream key, the
+    """Fixed splitting rule: (base, i, j, ...) -> 64-bit trial seed, the
     first uint64 of np.random.SeedSequence(base, spawn_key=(i, j, ...)).
 
     The last index may be an integer array with entries below 2**32; the
@@ -123,12 +147,60 @@ def derive_seed(base_seed: int, *indices):
     if not np.issubdtype(last.dtype, np.integer) or (
             last.size and (last.min() < 0 or last.max() > _MASK32)):
         raise ValueError("an array index must hold integers in [0, 2**32)")
-    low, high = _first_state_words(entropy + [last.astype(np.uint32)])
-    return low.astype(np.uint64) | (high.astype(np.uint64) << np.uint64(32))
+    return _join(*_first_state_words(entropy + [last.astype(np.uint32)]))
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(int(seed))
+_PCG64_WORDS = 4
+
+
+class StreamKey:
+    """A trial's seed as the seed sequence numpy's PCG64 reads: the four
+    uint64 words SeedSequence(seed).generate_state(4, np.uint64) returns,
+    which are the only words PCG64 is seeded with.  Built by stream_keys."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        """The key's words, read-only; any other request raises."""
+        if n_words != _PCG64_WORDS or np.dtype(dtype) != np.uint64:
+            raise ValueError("a stream key holds only PCG64's "
+                             f"{_PCG64_WORDS} uint64 seed words")
+        return self._state
+
+
+@functools.cache
+def _register_stream_key() -> None:
+    # imported on the first key, not with the package: numpy.random costs
+    # every command's start-up 13-25 ms
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(StreamKey)
+
+
+def stream_keys(seeds) -> list[StreamKey]:
+    """One StreamKey per uint64 seed, the words of all of them computed in
+    one numpy pass; make_rng(key) is make_rng(seed), bit for bit."""
+    _register_stream_key()
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    # a seed is one or two 32-bit words, and SeedSequence hashes zeros into
+    # the pool words it leaves empty
+    pool, _ = _mix_pool([(seeds & np.uint64(_MASK32)).astype(np.uint32),
+                         (seeds >> np.uint64(32)).astype(np.uint32), 0, 0])
+    words = _generate(pool, 2 * _PCG64_WORDS)
+    state = np.empty((len(seeds), _PCG64_WORDS), dtype=np.uint64)
+    for i in range(_PCG64_WORDS):
+        state[:, i] = _join(words[2 * i], words[2 * i + 1])
+    state.flags.writeable = False  # each key hands out its row itself
+    return [StreamKey(row) for row in state]
+
+
+def make_rng(seed: int | StreamKey) -> np.random.Generator:
+    """A trial's generator: PCG64 seeded from an int as
+    np.random.default_rng(int(seed)) seeds it, or from a StreamKey's
+    precomputed words, which skips running SeedSequence."""
+    return np.random.default_rng(seed if isinstance(seed, StreamKey) else int(seed))
 
 
 def chunk_ranges(n: int, chunk: int = NOISE_CHUNK):
@@ -208,7 +280,8 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
         for obs in observers:
             obs.begin(x, rows)
         observe = [obs.step for obs in observers]
-        gens = None if increments is not None else [make_rng(s) for s in seeds[rows]]
+        gens = (None if increments is not None else
+                [make_rng(key) for key in stream_keys(seeds[rows])])
         for a, b in chunk_ranges(n_steps, chunk):
             if gens is None:
                 block = increments[rows, a:b]

@@ -359,6 +359,24 @@ class TestSeedResolution:
 
 
 class TestValidateCommand:
+    @pytest.mark.parametrize("argv, jobs", [([], 1), (["--jobs", "2"], 2)])
+    def test_jobs_reach_the_criteria(self, monkeypatch, capsys, argv, jobs):
+        from saddlelab import acceptance
+        seen = []
+
+        def run_dichotomy(config):
+            seen.append(config.jobs)
+            raise RuntimeError("stop after the config")
+
+        monkeypatch.setattr(acceptance, "run_dichotomy", run_dichotomy)
+        rc = main(["validate", "--criterion", "1"] + argv)
+        assert rc == 1 and "FAIL  1." in capsys.readouterr().out
+        assert seen == [jobs]
+
+    def test_jobs_below_one_is_an_error(self, capsys):
+        assert main(["validate", "--criterion", "7", "--jobs", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_single_fast_criterion(self, capsys):
         rc = main(["validate", "--criterion", "7"])
         out = capsys.readouterr().out

@@ -1,7 +1,10 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,7 +52,9 @@ def test_every_span_site_resolves(module, attr, name):
 def test_tracer_counts_one_drift_eval_per_step():
     # the tracer counts drift_eval calls and, against a followed barrier,
     # the trial-steps of the state vector each call is handed; a kernel that
-    # stopped calling drift_eval per step would read 0 on both
+    # stopped calling drift_eval per step would read 0 on both.  It also
+    # wraps make_rng to count every value drawn; a kernel that built its
+    # generators some other way would read 0 draws
     from saddlelab import continuous, discrete
     from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
 
@@ -66,6 +71,10 @@ def test_tracer_counts_one_drift_eval_per_step():
         (lambda: continuous.coupled_violations_batch(spec, spec, 0.1, -0.1, grid,
                                                      seeds),
          100, 2, None),
+        (lambda: discrete.urn_final_batch(discrete.UrnSpec("identity"), 102, seeds),
+         100, 0, None),
+        (lambda: discrete.urn_final_batch(discrete.UrnSpec("constant"), 102, seeds),
+         100, 0, None),
     ]
     tracer = TRACING.Tracer()
     for run, steps, per_step, followed in runs:
@@ -78,8 +87,21 @@ def test_tracer_counts_one_drift_eval_per_step():
             tracer.follow(None)
             tracer.uninstall()
         assert tracer.drift_calls == per_step * steps
+        assert tracer.draw_values == len(seeds) * steps
         if followed is not None:
             assert tracer.useful_steps == tracer.classified_steps == len(seeds) * steps
+
+
+def test_import_leaves_numpy_random_out():
+    # numpy.random costs every command's start-up; rng imports it with the
+    # first stream key
+    code = "import sys, saddlelab.cli; print('numpy.random' in sys.modules)"
+    src = str(Path(saddlelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_tracer_installs_and_uninstalls():

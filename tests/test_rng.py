@@ -163,6 +163,32 @@ def test_derive_seed_types_and_range():
         derive_seed(-1, 3)
 
 
+KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seeds", [KEY_SEEDS, derive_seed(11, np.arange(1000))],
+                         ids=["edges", "derived"])
+def test_stream_keys_are_seed_sequence_words(seeds):
+    keys = rng.stream_keys(seeds)
+    assert len(keys) == len(seeds)
+    for seed, key in zip(seeds, keys):
+        expected = np.random.SeedSequence(int(seed)).generate_state(4, np.uint64)
+        assert np.array_equal(key.generate_state(4, np.uint64), expected)
+        assert (make_rng(key).bit_generator.state
+                == np.random.default_rng(int(seed)).bit_generator.state)
+
+
+def test_stream_keys_of_no_seeds_and_other_requests():
+    assert rng.stream_keys(np.array([], dtype=np.uint64)) == []
+    (key,) = rng.stream_keys([5])
+    assert np.array_equal(key.generate_state(4, "u8"), key.generate_state(4, np.uint64))
+    for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
+        with pytest.raises(ValueError):
+            key.generate_state(n_words, dtype)
+    with pytest.raises(ValueError):
+        key.generate_state(4)  # SeedSequence's default dtype is uint32
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 4, 7, 8, 9, 512, 8192])
 @pytest.mark.parametrize("width", [1, 5, 256, 500, 1024])
 def test_draw_buffer_rows_are_an_odd_number_of_lines_apart(width, chunk):
