@@ -15,6 +15,7 @@ Closed forms from the linear case (exponential clock, drift k|x|):
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -123,11 +124,15 @@ def wilson_interval(successes: int, trials: int,
 
 @dataclass(eq=True)
 class MCResult:
-    """Outcome counts; point estimates and Wilson intervals on request."""
+    """Outcome counts; point estimates and Wilson intervals on request.
+    paths holds every state of the first trials when the run recorded
+    them (see estimate_probability), else None."""
 
     n_trials: int
     counts: dict
     base_seed: int
+    paths: np.ndarray | None = dataclasses.field(default=None, compare=False,
+                                                  repr=False)
 
     def __post_init__(self):
         total = sum(self.counts.values())
@@ -149,18 +154,33 @@ def trial_seeds(base_seed: int, n_trials: int) -> np.ndarray:
 
 
 def block_width(n_total: int, jobs: int) -> int:
-    """Trials per block, at most rng.TRIAL_CAP (the widest set the driver
-    steps at once): one job runs blocks that wide, since every step costs
-    the same fixed overhead whatever its width; more jobs split the
-    n_total trials into two blocks per worker, so that a worker whose
-    block ends early takes another."""
-    blocks = 1 if jobs == 1 else 2 * jobs
-    return min(rng.TRIAL_CAP, math.ceil(n_total / blocks))
+    """Trials per block: the n_total trials split into one block per
+    worker, at most rng.TRIAL_CAP (the widest set the driver steps at
+    once) wide.  Every step costs the same fixed overhead whatever its
+    width, so a narrower block costs more per trial-step than a worker
+    gains by taking another."""
+    return min(rng.TRIAL_CAP, math.ceil(n_total / jobs))
 
 
 def _run_block(args):
     runner, seeds = args
     return runner(seeds)
+
+
+def _run_block_or_error(args):
+    """_run_block's result, or the NonFiniteStateError it raised, so that
+    one block's failure leaves the other blocks to run."""
+    try:
+        return _run_block(args)
+    except rng.NonFiniteStateError as exc:
+        return exc
+
+
+def _joined(pieces):
+    """The blocks' recorded paths in trial order; None when none recorded."""
+    if not pieces:
+        return None
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def estimate_probability(runners, n_trials: int, base_seeds, jobs: int = 1):
@@ -170,6 +190,12 @@ def estimate_probability(runners, n_trials: int, base_seeds, jobs: int = 1):
     its seeds are trial_seeds(base_seeds[i], n_trials), so counts do not
     depend on block boundaries or on how many workers execute them.  Every
     cell's blocks share one pool; one MCResult per cell comes back.
+
+    A runner (a dataclass) with a positive `dump` also records the paths
+    of its cell's first `dump` trials while it counts them.  Each block
+    runs a copy whose dump is the number of those trials it holds, and a
+    block with a positive dump returns (outcomes, paths); the cell's
+    MCResult carries the paths in trial order.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
@@ -180,20 +206,32 @@ def estimate_probability(runners, n_trials: int, base_seeds, jobs: int = 1):
     tasks, owners = [], []
     for cell, (runner, seed) in enumerate(cells):
         seeds = trial_seeds(seed, n_trials)
+        dump = getattr(runner, "dump", 0)
         for a in range(0, n_trials, width):
-            tasks.append((runner, seeds[a:a + width]))
+            block = (dataclasses.replace(runner, dump=min(max(dump - a, 0), width))
+                     if dump else runner)
+            tasks.append((block, seeds[a:a + width]))
             owners.append(cell)
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_block, tasks))
+            outcomes = list(pool.map(_run_block_or_error, tasks))
     else:
-        outcomes = [_run_block(task) for task in tasks]
+        outcomes = [_run_block_or_error(task) for task in tasks]
+    errors = [out for out in outcomes if isinstance(out, rng.NonFiniteStateError)]
+    if errors:
+        # the first step over all trials, however they are split into blocks
+        raise min(errors, key=lambda exc: exc.step_index)
     counts = [{oc: 0 for oc in Outcome} for _ in cells]
-    for cell, block in zip(owners, outcomes):
-        for outcome in block:
+    recorded = [[] for _ in cells]
+    for (block, _), cell, out in zip(tasks, owners, outcomes):
+        if getattr(block, "dump", 0):
+            out, paths = out
+            recorded[cell].append(paths)
+        for outcome in out:
             counts[cell][outcome] += 1
-    return [MCResult(n_trials=n_trials, counts=c, base_seed=int(seed))
-            for c, (_, seed) in zip(counts, cells)]
+    return [MCResult(n_trials=n_trials, counts=c, base_seed=int(seed),
+                     paths=_joined(r))
+            for c, r, (_, seed) in zip(counts, recorded, cells)]
 
 
 def never_return_alpha(k: float, s: float, x_s: float) -> float:

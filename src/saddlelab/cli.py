@@ -23,9 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import Outcome, trial_seeds
-from .experiments import (DichotomyOutput, ExperimentConfig, phase_sweep,
-                          run_dichotomy, run_urn_experiment)
+from .analysis import Outcome
+from .experiments import (ContinuousDichotomyRunner, DichotomyOutput,
+                          ExperimentConfig, phase_sweep, run_dichotomy,
+                          run_urn_experiment)
 from .rng import NonFiniteStateError
 
 CSV_COLUMNS = ["k", "gamma", "prediction", "n_converged", "n_escaped",
@@ -197,11 +198,14 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _dump_trajectories(out: DichotomyOutput, out_dir: Path) -> None:
-    """Every state of the first dump_max counted trials, recorded in one
-    batch by the runner that counted them."""
-    seeds = trial_seeds(out.result.base_seed,
-                        min(out.config.trials, out.config.dump_max))
-    np.savez(out_dir / "trajectories.npz", **out.runner.paths(seeds))
+    """Write every state of the first dump_max counted trials, which the
+    counting run recorded (they were stepped to the horizon, not retired
+    at escape), with an SDE run's grid times."""
+    paths = () if out.result.paths is None else out.result.paths
+    arrays = {f"trial_{i}": path for i, path in enumerate(paths)}
+    if isinstance(out.runner, ContinuousDichotomyRunner):
+        arrays = {"times": out.runner.grid.times(), **arrays}
+    np.savez(out_dir / "trajectories.npz", **arrays)
 
 
 def _run_experiment_command(config: ExperimentConfig) -> int:

@@ -189,21 +189,25 @@ def em_paths(spec: ProcessSpec, grid: TimeGrid, seeds) -> np.ndarray:
 
 def em_batch(spec: ProcessSpec, grid: TimeGrid, seeds,
              tail_start: float | None = None,
-             barrier: float | None = None) -> Extremes:
+             barrier: float | None = None,
+             record: Record | None = None) -> Extremes:
     """One EM trajectory per seed, stepped together across trials; returns
     each trial's running extremes over the grid's times, with the tail
     from tail_start on (the whole path when None), and its final state.
 
     Each trial draws its own stream exactly as brownian_increments +
     simulate_em would, so per-seed results do not depend on how trials are
-    grouped or scheduled.  With a barrier the run only classifies (see
+    grouped or scheduled.  With a barrier the run classifies (see
     rng.drive): a trial whose max passed the barrier retires at the next
     chunk end, and its final and tail_abs_max are its values at
-    retirement.
+    retirement.  A `record` there receives every state of the leading
+    trials, which are stepped to the horizon, as em_paths would return
+    them.
     """
     seeds = np.asarray(list(seeds), dtype=np.uint64)
     extremes = Extremes(len(seeds), grid.times(), tail_start)
-    extremes.final = _em_drive(spec, grid, [extremes], seeds=seeds,
+    observers = [extremes] if record is None else [extremes, record]
+    extremes.final = _em_drive(spec, grid, observers, seeds=seeds,
                                barrier=barrier)
     return extremes
 

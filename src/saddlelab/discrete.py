@@ -145,18 +145,21 @@ def sgd_paths(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: float
 def sgd_batch(drift: DriftSpec, gamma: float, noise: NoiseSpec, x0: float,
               n0: int, n_end: int, seeds,
               tail_start: float | None = None,
-              barrier: float | None = None) -> Extremes:
+              barrier: float | None = None,
+              record: Record | None = None) -> Extremes:
     """One recursion per seed, stepped together; returns each trial's
     running extremes over n = n0..n_end, with the tail from n = tail_start
     on (the whole path when None), and its final state.  Per-seed results
-    match simulate_sgd exactly.  With a barrier the run only classifies
-    (see rng.drive): a trial whose max passed the barrier retires at the
-    next chunk end, and its final and tail_abs_max are its values at
-    retirement."""
+    match simulate_sgd exactly.  With a barrier the run classifies (see
+    rng.drive): a trial whose max passed the barrier retires at the next
+    chunk end, and its final and tail_abs_max are its values at
+    retirement.  A `record` there receives every state of the leading
+    trials, which are stepped to n_end, as sgd_paths would return them."""
     seeds = np.asarray(list(seeds), dtype=np.uint64)
     extremes = Extremes(len(seeds), np.arange(n0, n_end + 1, dtype=float), tail_start)
+    observers = [extremes] if record is None else [extremes, record]
     extremes.final = _sgd_drive(drift, gamma, noise, x0, n0, n_end, seeds,
-                                [extremes], barrier)
+                                observers, barrier)
     return extremes
 
 

@@ -22,8 +22,10 @@ in one estimate_probability call.
 
 Experiment runners are plain frozen dataclasses mapping a block of trial
 seeds to outcomes, so they pickle cleanly onto worker processes.  A runner
-also records the paths behind those outcomes (`paths`) and names the model
-whose prediction applies (`model`).
+names the model whose prediction applies (`model`), and one with a positive
+`dump` also returns every state of the first `dump` trials it counts: the
+counting run records them (--dump-trajectories), so they are never
+simulated twice.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from . import discrete as disc
 from .analysis import (ClassifierConfig, MCResult, classify_stats,
                        estimate_probability, tail_start, trial_seeds)
 from .model import DriftSpec, NoiseSchedule, ProcessSpec, predict_regime
-from .rng import derive_seed
+from .rng import Record, derive_seed
 
 __all__ = [
     "ExperimentConfig",
@@ -51,14 +53,30 @@ __all__ = [
 ]
 
 
+def _head_record(runner, seeds, n_steps: int) -> Record | None:
+    """The record of the first runner.dump of these trials, if any."""
+    n = min(runner.dump, len(seeds))
+    return Record((n,), n_steps) if n else None
+
+
+def _counted(runner, stats, record):
+    outcomes = classify_stats(stats.max_value, stats.tail_abs_max, runner.cfg)
+    return outcomes if record is None else (outcomes, record.value)
+
+
 @dataclass(frozen=True)
 class ContinuousDichotomyRunner:
-    """EM trials of one SDE instance, classified from their running stats."""
+    """EM trials of one SDE instance, classified from their running stats.
+
+    With a positive dump the first dump trials of each call are stepped to
+    the horizon and recorded by the same run, and the call returns
+    (outcomes, paths), paths[i] holding every grid state of trial i."""
 
     spec: ProcessSpec
     t_end: float
     dt: float
     cfg: ClassifierConfig
+    dump: int = 0
 
     @property
     def model(self) -> str:
@@ -69,20 +87,21 @@ class ContinuousDichotomyRunner:
         return cont.TimeGrid(self.spec.t0, self.t_end, self.dt)
 
     def __call__(self, seeds):
-        stats = cont.em_batch(self.spec, self.grid, seeds,
+        grid = self.grid
+        record = _head_record(self, seeds, grid.n_steps)
+        stats = cont.em_batch(self.spec, grid, seeds,
                               tail_start=self.cfg.tail_start(self.spec.t0, self.t_end),
-                              barrier=self.cfg.barrier)
-        return classify_stats(stats.max_value, stats.tail_abs_max, self.cfg)
-
-    def paths(self, seeds) -> dict:
-        """The grid times and every state of one trial per seed."""
-        return {"times": self.grid.times(),
-                **_trial_arrays(cont.em_paths(self.spec, self.grid, seeds))}
+                              barrier=self.cfg.barrier, record=record)
+        return _counted(self, stats, record)
 
 
 @dataclass(frozen=True)
 class DiscreteDichotomyRunner:
-    """Trials of one discrete recursion, classified from their running stats."""
+    """Trials of one discrete recursion, classified from their running stats.
+
+    With a positive dump the first dump trials of each call are stepped to
+    n_end and recorded by the same run, and the call returns
+    (outcomes, paths), paths[i] holding X_{n0..n_end} of trial i."""
 
     drift: DriftSpec
     noise: disc.NoiseSpec
@@ -91,23 +110,16 @@ class DiscreteDichotomyRunner:
     n0: int
     n_end: int
     cfg: ClassifierConfig
+    dump: int = 0
     model = "discrete"
 
     def __call__(self, seeds):
+        record = _head_record(self, seeds, self.n_end - self.n0)
         stats = disc.sgd_batch(self.drift, self.gamma, self.noise, self.x0,
                                self.n0, self.n_end, seeds,
                                tail_start=self.cfg.tail_start(self.n0, self.n_end),
-                               barrier=self.cfg.barrier)
-        return classify_stats(stats.max_value, stats.tail_abs_max, self.cfg)
-
-    def paths(self, seeds) -> dict:
-        """Every state X_{n0..n_end} of one trial per seed."""
-        return _trial_arrays(disc.sgd_paths(self.drift, self.gamma, self.noise,
-                                            self.x0, self.n0, self.n_end, seeds))
-
-
-def _trial_arrays(paths) -> dict:
-    return {f"trial_{i}": path for i, path in enumerate(paths)}
+                               barrier=self.cfg.barrier, record=record)
+        return _counted(self, stats, record)
 
 
 @dataclass(frozen=True)
@@ -276,10 +288,13 @@ def _build_runner(config: ExperimentConfig, k: float, gamma: float):
                                      dt=config.dt, cfg=cfg)
 
 
-def _run_cells(config: ExperimentConfig, cells, seeds) -> list[DichotomyOutput]:
+def _run_cells(config: ExperimentConfig, cells, seeds,
+               dump: int = 0) -> list[DichotomyOutput]:
     """One DichotomyOutput per (k, gamma) cell, cell i on base seed seeds[i];
-    every cell's trials run in one estimate_probability call, on one pool."""
-    runners = [_build_runner(config, k, gamma) for k, gamma in cells]
+    every cell's trials run in one estimate_probability call, on one pool,
+    which records the first `dump` trials of each cell (result.paths)."""
+    runners = [dataclasses.replace(_build_runner(config, k, gamma), dump=dump)
+               for k, gamma in cells]
     results = estimate_probability(runners, config.trials, seeds, jobs=config.jobs)
     return [DichotomyOutput(config, runner, result, k, gamma,
                             *predict_regime(runner.model, k, gamma))
@@ -288,8 +303,11 @@ def _run_cells(config: ExperimentConfig, cells, seeds) -> list[DichotomyOutput]:
 
 def run_dichotomy(config: ExperimentConfig) -> DichotomyOutput:
     """Run one dichotomy cell, (config.k, config.gamma) on config.seed: N
-    classified trials plus the regime prediction, as a one-cell sweep."""
-    (out,) = _run_cells(config, [(config.k, config.gamma)], [config.seed])
+    classified trials plus the regime prediction, as a one-cell sweep.
+    With dump_trajectories, result.paths holds every state of the first
+    min(trials, dump_max) counted trials, recorded as they were counted."""
+    dump = min(config.trials, config.dump_max) if config.dump_trajectories else 0
+    (out,) = _run_cells(config, [(config.k, config.gamma)], [config.seed], dump)
     return out
 
 

@@ -249,24 +249,30 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
     values of a trial's stream, and the per-step `scale`, if given,
     multiplies the drawn block in place.
 
-    A run with a barrier only classifies, and its one observer is an
-    Extremes.  A trial whose running max has passed the barrier is escaped
-    whatever follows, so at the end of each chunk such trials retire: they
-    are stepped no further and draw no more noise, and their state and
-    extremes keep their values at retirement.  A part of the trials ends
-    when none of them is left.  The chunks are RETIRE_CHUNK steps long
-    when TRIAL_CAP trials are stepped together, and proportionally longer
-    (up to NOISE_CHUNK) when fewer are.
+    A run with a barrier classifies: its observers are an Extremes and,
+    optionally, a Record of the leading trials of the state.  A trial whose
+    running max has passed the barrier is escaped whatever follows, so at
+    the end of each chunk such trials retire: they are stepped no further
+    and draw no more noise, and their state and extremes keep their values
+    at retirement.  Recorded trials never retire before the horizon, so
+    their every state is recorded; they stay the leading trials of each
+    part as the others retire.  A part of the trials ends when none of them
+    is left.  The chunks are RETIRE_CHUNK steps long when TRIAL_CAP trials
+    are stepped together, and proportionally longer (up to NOISE_CHUNK)
+    when fewer are.
 
     Raises NonFiniteStateError with the first step, over all trials, after
     which some state is NaN or inf; with a barrier, a trial whose max
-    passed it before that step does not count.
+    passed it before that step does not count unless it is recorded.
     """
     n_trials = state.shape[-1]
     width = min(n_trials, TRIAL_CAP)
     chunk = NOISE_CHUNK
+    recorded = 0  # how many leading trials must not retire
     if barrier is not None:
-        (extremes,) = observers
+        extremes, *record = observers
+        if record:
+            recorded = record[0].value.shape[-2]
         # the same buffer size at every width: a narrower part draws longer
         # chunks, which spreads each draw call's fixed cost over more values
         chunk = min(NOISE_CHUNK, TRIAL_CAP * RETIRE_CHUNK // max(width, 1))
@@ -277,6 +283,7 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
     for lo in range(0, n_trials, TRIAL_CAP):
         rows = slice(lo, lo + TRIAL_CAP)  # the trials still stepped
         x = state[..., rows]
+        head = max(recorded - lo, 0)
         for obs in observers:
             obs.begin(x, rows)
         observe = [obs.step for obs in observers]
@@ -297,14 +304,17 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
                 for step in observe:
                     step(x, i + 1)
             if not np.isfinite(x).all():
-                bad = _first_bad_step(start, update, a, block, barrier)
+                bad = _first_bad_step(start, update, a, block, barrier, head)
                 if bad is not None:
                     bad_steps.append(bad)
                     break
             if barrier is not None:
-                # every trial left at the horizon retires with the last chunk
-                keep = (~extremes.passed(barrier) if b < n_steps
-                        else np.zeros(x.shape[-1], dtype=bool))
+                if b < n_steps:
+                    keep = ~extremes.passed(barrier)
+                    keep[:head] = True  # recorded trials step on to the horizon
+                else:
+                    # every trial left at the horizon retires with the last chunk
+                    keep = np.zeros(x.shape[-1], dtype=bool)
                 if keep.all():
                     continue
                 if isinstance(rows, slice):
@@ -321,20 +331,24 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
     return state
 
 
-def _first_bad_step(x, update, a, block, barrier=None) -> int | None:
+def _first_bad_step(x, update, a, block, barrier=None, head=0) -> int | None:
     """Replay one chunk from its start state x: the first step after which
     the state of a trial that counts is non-finite (None if none is).
     Without a barrier every trial counts; with one, a trial whose max
-    passed the barrier at an earlier node does not."""
+    passed the barrier at an earlier node does not, unless it is one of
+    the `head` leading (recorded) trials."""
     if not np.isfinite(x).all():
         return a
-    passed = np.zeros(x.shape, dtype=bool) if barrier is None else x > barrier
+    passed = np.zeros(x.shape, dtype=bool)
+    exempt = (..., slice(head, None))  # the trials a passed barrier exempts
+    if barrier is not None:
+        passed[exempt] = x[exempt] > barrier
     for i, noise in enumerate(block.T, a):
         update(x, i, noise)
         if not (np.isfinite(x) | passed).all():
             return i + 1
         if barrier is not None:
-            passed |= x > barrier
+            passed[exempt] |= x[exempt] > barrier
     return None
 
 
@@ -394,14 +408,17 @@ class FirstViolation:
 
 
 class Record:
-    """Every step's state: value[..., trial, step] for steps 0..n_steps."""
+    """Every step's state: value[..., trial, step] for steps 0..n_steps.
+    shape's last entry may be smaller than the state's trial count; the
+    record then holds the leading trials."""
 
     def __init__(self, shape, n_steps: int):
         self.value = np.empty(tuple(shape) + (n_steps + 1,))
 
     def begin(self, x, part):
         self._view = self.value[..., part, :]
-        self._view[..., 0] = x
+        self._head = self._view.shape[-2]
+        self._view[..., 0] = x[..., :self._head]
 
     def step(self, x, index):
-        self._view[..., index] = x
+        self._view[..., index] = x[..., :self._head]

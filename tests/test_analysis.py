@@ -7,12 +7,12 @@ import pytest
 from saddlelab.analysis import (ClassifierConfig, MCResult, Outcome, block_width,
                                 classify, classify_stats, estimate_probability,
                                 moment_compare, never_return_alpha,
-                                remaining_variance, wilson_interval)
+                                remaining_variance, trial_seeds, wilson_interval)
 from saddlelab.continuous import (BrownianPath, TimeGrid, Trajectory,
                                   brownian_increments, linear_exact_batch,
                                   em_batch, simulate_em)
 from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec, predict_regime
-from saddlelab.rng import derive_seed, make_rng
+from saddlelab.rng import NonFiniteStateError, derive_seed, make_rng
 
 CFG = ClassifierConfig(eps_conv=0.05, barrier=3.0, tail_fraction=0.2)
 
@@ -136,6 +136,27 @@ class ZeroNoiseEscapeRunner:
         return [outcome for _ in seeds]
 
 
+@dataclass(frozen=True)
+class RecordingStub(StubRunner):
+    """StubRunner that "records" its first dump trials: their seeds."""
+
+    dump: int = 0
+
+    def __call__(self, seeds):
+        outcomes = super().__call__(seeds)
+        if not self.dump:
+            return outcomes
+        return outcomes, np.asarray(seeds[:self.dump])[:, None]
+
+
+@dataclass(frozen=True)
+class FailingStub:
+    """Raises NonFiniteStateError at a step set by its block's first trial."""
+
+    def __call__(self, seeds):
+        raise NonFiniteStateError(1000 - int(seeds[0]) % 997)
+
+
 class TestEstimateProbability:
     def test_deterministic_escape_has_full_count_and_unit_upper(self):
         (result,) = estimate_probability([ZeroNoiseEscapeRunner()], 50, [9])
@@ -175,12 +196,36 @@ class TestEstimateProbability:
                  for r, s in zip(runners, [4, 5, 6])]
         assert together == alone
 
+    @pytest.mark.parametrize("dump", [0, 1, 30, 299, 300])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_recorded_paths_are_the_first_trials_in_order(self, dump, jobs):
+        (result, other) = estimate_probability(
+            [RecordingStub(dump=dump), StubRunner()], 300, [4, 5], jobs=jobs)
+        assert result == estimate_probability([StubRunner()], 300, [4])[0]
+        assert other.paths is None
+        if dump == 0:
+            assert result.paths is None
+        else:
+            assert np.array_equal(result.paths[:, 0], trial_seeds(4, dump))
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_failing_blocks_raise_the_earliest_step(self, jobs):
+        # every block fails; at base seed 13 a later block names the
+        # earliest step over all of them, at each of these job counts
+        steps = [1000 - int(s) % 997
+                 for s in trial_seeds(13, 2000)[::block_width(2000, jobs)]]
+        assert min(steps) < steps[0]
+        with pytest.raises(NonFiniteStateError) as err:
+            estimate_probability([FailingStub()], 2000, [13], jobs=jobs)
+        assert err.value.step_index == min(steps)
+
     def test_block_width(self):
-        # one job: as wide as the cap allows; more: two blocks per worker
+        # one block per worker, as wide as the cap allows
         assert block_width(1000, 1) == 1000
         assert block_width(10**6, 1) == 1024
+        assert block_width(1000, 2) == 500
         assert block_width(4096, 2) == 1024
-        assert block_width(1200, 8) == 75
+        assert block_width(1200, 8) == 150
         assert block_width(1, 4) == 1
 
 

@@ -6,8 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from saddlelab.analysis import Outcome, classify
+from saddlelab.analysis import Outcome, classify, trial_seeds
 from saddlelab.cli import build_parser, main, resolve_config
+from saddlelab.continuous import TimeGrid
 from saddlelab.experiments import run_dichotomy
 
 FAST_SWEEP = ["sweep", "--model", "continuous", "--k-values", "2.0",
@@ -196,6 +197,85 @@ class TestSimulateCommand:
         assert sum(int(v) for v in rows[1][3:6]) == 8
 
 
+# barrier 0.5: some dumped trials cross it within the first draw chunk, so
+# a counting run retires them unless it records them; others never do
+DUMP_MODELS = {
+    "discrete": ["--model", "discrete", "--k", "2", "--gamma", "0.8",
+                 "--steps", "20000", "--barrier", "0.5"],
+    "continuous": ["--k", "2", "--gamma", "0.6", "--horizon", "60",
+                   "--dt", "0.005", "--barrier", "0.5"],
+}
+
+
+def _batch_paths(model, seeds):
+    """The paths sgd_paths/em_paths step for these seeds under DUMP_MODELS."""
+    from saddlelab.continuous import em_paths
+    from saddlelab.discrete import NoiseSpec, sgd_paths
+    from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
+
+    drift = DriftSpec("monomial", 2.0, 1.0, 10.0)
+    if model == "discrete":
+        return sgd_paths(drift, 0.8, NoiseSpec("rademacher"), -0.2, 10, 20010, seeds)
+    spec = ProcessSpec(drift, NoiseSchedule("power_transformed", 0.6), t0=1.0, x0=-0.2)
+    return em_paths(spec, TimeGrid(1.0, 60.0, 0.005), seeds)
+
+
+class TestDumpTrajectories:
+    def _run(self, model, trials, jobs, out, dump_max=None):
+        argv = ["simulate", *DUMP_MODELS[model], "--trials", str(trials),
+                "--seed", "64", "--jobs", str(jobs), "--out", str(out),
+                "--dump-trajectories"]
+        if dump_max is not None:
+            (out / "cfg.json").write_text(json.dumps({"dump_max": dump_max}))
+            argv += ["--config", str(out / "cfg.json")]
+        assert main(argv) == 0
+        with np.load(out / "trajectories.npz") as npz:
+            return {name: npz[name] for name in npz.files}
+
+    @pytest.mark.parametrize("trials, dump_max, jobs", [
+        (12, None, 1), (12, None, 2),
+        # 40 trials on two workers run as two blocks of 20: the dump spans both
+        (40, 30, 2), (40, 30, 1),
+        (5, None, 2),   # fewer trials than dump_max
+    ])
+    @pytest.mark.parametrize("model", ["discrete", "continuous"])
+    def test_dump_is_the_batch_paths_of_the_first_trials(self, model, trials,
+                                                         dump_max, jobs, tmp_path):
+        arrays = self._run(model, trials, jobs, tmp_path, dump_max)
+        n = min(trials, 10 if dump_max is None else dump_max)
+        expected = _batch_paths(model, trial_seeds(64, n))
+        names = [f"trial_{i}" for i in range(n)]
+        assert sorted(arrays) == sorted(names + (["times"] if model == "continuous" else []))
+        for i, name in enumerate(names):
+            assert np.array_equal(arrays[name], expected[i])
+        if model == "continuous":
+            assert np.array_equal(arrays["times"], TimeGrid(1.0, 60.0, 0.005).times())
+        crossed = (expected > 0.5).any(axis=1)
+        assert crossed.any() and not crossed.all()
+        assert np.argmax(expected > 0.5, axis=1)[crossed].min() < 1000
+
+    @pytest.mark.parametrize("model", ["discrete", "continuous"])
+    def test_dump_max_zero_writes_no_trial(self, model, tmp_path):
+        arrays = self._run(model, 6, 2, tmp_path, dump_max=0)
+        assert sorted(arrays) == (["times"] if model == "continuous" else [])
+
+    @pytest.mark.parametrize("model", ["discrete", "continuous"])
+    def test_dump_leaves_every_count_and_output_as_it_was(self, model, tmp_path,
+                                                          capsys):
+        outputs = []
+        for dump in (False, True):
+            out = tmp_path / str(dump)
+            argv = ["simulate", *DUMP_MODELS[model], "--trials", "24", "--seed", "64",
+                    "--jobs", "2", "--out", str(out)]
+            assert main(argv + (["--dump-trajectories"] if dump else [])) == 0
+            manifest = json.loads((out / "simulate_manifest.json").read_text())
+            outputs.append((capsys.readouterr(),
+                            (out / "simulate_results.csv").read_bytes(),
+                            manifest["counts"]))
+            assert (out / "trajectories.npz").exists() == dump
+        assert outputs[0] == outputs[1]
+
+
 class TestUrnCommand:
     def test_urn_runs_and_writes_manifest(self, tmp_path, capsys):
         rc = main(["urn", "--urn-f", "constant", "--urn-value", "0.5",
@@ -250,8 +330,8 @@ class TestErrorPaths:
         assert rc != 0
 
     @pytest.mark.parametrize("argv, step", [
-        # e^{0.8 t} growth on a 1000-long horizon leaves the float range; the
-        # counted trials retire once escaped, the dumped paths are stepped in full
+        # e^{0.8 t} growth on a 1000-long horizon leaves the float range;
+        # escaped trials retire, but dumped ones are stepped in full
         (["linear-dichotomy", "--k", "0.8", "--horizon", "1000", "--dt", "0.1",
           "--dump-trajectories"], 9232),
         # a cap of 1e200 lets x^2 overflow within a few steps from x0 = 5,
@@ -262,7 +342,9 @@ class TestErrorPaths:
     def test_non_finite_state_is_an_error_line(self, argv, step, tmp_path, capsys):
         rc = main(argv + ["--trials", "4", "--jobs", "1", "--out", str(tmp_path)])
         assert rc == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        # the counting run itself fails, so no counts line comes before it
+        assert out == ""
         assert err.startswith(f"error: non-finite state at step {step};")
         assert "Traceback" not in err
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from saddlelab import continuous, discrete, rng
-from saddlelab.analysis import classify_stats
+from saddlelab.analysis import ClassifierConfig, classify_stats
 from saddlelab.experiments import ExperimentConfig, _build_runner
 from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
 from saddlelab.rng import (Extremes, NonFiniteStateError, Record, chunk_ranges,
@@ -314,3 +314,93 @@ def test_escaped_then_non_finite_is_decided_not_an_error(monkeypatch, bad):
     with pytest.raises(NonFiniteStateError) as err:
         drive(np.zeros(3), 9, update, increments=increments)
     assert err.value.step_index == 3
+
+
+def _recorded_and_plain(model, seeds, barrier, n_record):
+    """A barrier run with a Record of the first n_record trials, the same
+    run without it, and those trials' paths from a run with no barrier."""
+    if model == "continuous":
+        spec = ProcessSpec(DriftSpec("monomial", 2.0),
+                           NoiseSchedule("power_transformed", 0.6), t0=1.0, x0=-0.2)
+        grid = continuous.TimeGrid(1.0, 12.0, 1e-2)
+        n_steps, tail = grid.n_steps, 10.0
+
+        def run(**kw):
+            return continuous.em_batch(spec, grid, seeds, tail_start=tail, **kw)
+        reference = continuous.em_paths(spec, grid, seeds[:n_record])
+    else:
+        args = (DriftSpec("monomial", 2.0, 1.0, 10.0), 0.8,
+                discrete.NoiseSpec("rademacher"), -0.2, 10, 1210)
+        n_steps, tail = 1200, 970.0
+
+        def run(**kw):
+            return discrete.sgd_batch(*args, seeds, tail_start=tail, **kw)
+        reference = discrete.sgd_paths(*args, seeds[:n_record])
+    record = Record((n_record,), n_steps)
+    return run(barrier=barrier, record=record), run(barrier=barrier), record, reference
+
+
+_CFG = ClassifierConfig(eps_conv=0.05, barrier=0.5)
+
+
+@pytest.mark.parametrize("size", [None, 3])
+@pytest.mark.parametrize("model", ["continuous", "discrete"])
+def test_head_record_changes_no_count_and_records_whole_paths(monkeypatch, model,
+                                                              size):
+    # size 3 steps the trials in parts of three and retires every three
+    # steps, so the five recorded trials span two parts
+    if size is not None:
+        _retire_in_parts(monkeypatch, size)
+    seeds = derive_seed(64, np.arange(16))
+    barrier = _CFG.barrier
+    recorded, plain, record, reference = _recorded_and_plain(model, seeds, barrier, 5)
+    assert (classify_stats(recorded.max_value, recorded.tail_abs_max, _CFG)
+            == classify_stats(plain.max_value, plain.tail_abs_max, _CFG))
+    for field in ("max_value", "tail_abs_max"):
+        assert np.array_equal(getattr(recorded, field)[5:], getattr(plain, field)[5:])
+    assert np.array_equal(record.value, reference)
+    # some recorded trial crossed the barrier long before the horizon, so
+    # without the record it would have retired; some never crossed
+    crossed = (reference > barrier).any(axis=1)
+    first = np.argmax(reference > barrier, axis=1)
+    assert crossed.any() and not crossed.all()
+    assert first[crossed].min() < reference.shape[1] // 2
+    assert np.array_equal(recorded.max_value[:5], reference.max(axis=1))
+
+
+def test_recorded_trial_non_finite_after_escape_is_an_error(monkeypatch):
+    # as in test_escaped_then_non_finite_is_decided_not_an_error, trial 0
+    # passes the barrier at step 2 and turns inf at step 3; recorded, it
+    # counts, and the error names its step
+    monkeypatch.setattr(rng, "TRIAL_CAP", 3)
+    monkeypatch.setattr(rng, "RETIRE_CHUNK", 4)
+    increments = np.zeros((3, 9))
+    increments[0, 1], increments[0, 2] = 5.0, np.inf
+    increments[2, 6] = np.inf
+
+    def update(x, step, noise):
+        x += noise
+
+    with pytest.raises(NonFiniteStateError) as err:
+        drive(np.zeros(3), 9, update, [Extremes(3, np.arange(10.0)), Record((1,), 9)],
+              increments=increments, barrier=3.0)
+    assert err.value.step_index == 3
+    # unrecorded, trial 0 is decided; trial 2 still fails at its own step
+    with pytest.raises(NonFiniteStateError) as err:
+        drive(np.zeros(3), 9, update, [Extremes(3, np.arange(10.0))],
+              increments=increments, barrier=3.0)
+    assert err.value.step_index == 7
+
+
+def test_recorded_recursion_overflow_names_the_paths_step():
+    # x0 = 5 starts above the barrier and x^2 overflows within a few steps
+    args = (DriftSpec("monomial", 2.0, 1.0, 1e200), 0.6,
+            discrete.NoiseSpec("rademacher"), 5.0, 10, 2010)
+    seeds = derive_seed(65, np.arange(4))
+    with pytest.raises(NonFiniteStateError) as alone:
+        discrete.sgd_paths(*args, seeds[:2])
+    with pytest.raises(NonFiniteStateError) as err:
+        discrete.sgd_batch(*args, seeds, barrier=3.0, record=Record((2,), 2000))
+    assert err.value.step_index == alone.value.step_index
+    out = discrete.sgd_batch(*args, seeds, barrier=3.0)
+    assert np.all(out.max_value > 3.0)
