@@ -81,7 +81,8 @@ def classify(traj, cfg: ClassifierConfig) -> Outcome:
     discrete trajectories (anything with .times and .values)."""
     t = np.asarray(traj.times, dtype=float)
     v = np.asarray(traj.values, dtype=float)
-    if np.max(v) > cfg.barrier:
+    # a NaN state leaves the max as it was, as in the batched Extremes
+    if np.fmax.reduce(v) > cfg.barrier:
         return Outcome.ESCAPED
     tail = v[t >= cfg.tail_start(t[0], t[-1])]
     if len(tail) and np.max(np.abs(tail)) < cfg.eps_conv:
@@ -186,16 +187,16 @@ def _joined(pieces):
 def estimate_probability(runners, n_trials: int, base_seeds, jobs: int = 1):
     """Run n_trials independent trials of each cell and count outcomes.
 
-    runners[i] maps an array of per-trial seeds to a sequence of Outcomes;
-    its seeds are trial_seeds(base_seeds[i], n_trials), so counts do not
+    runners[i] is a dataclass with a `dump` field that maps an array of
+    per-trial seeds to (outcomes, paths): a sequence of Outcomes and the
+    recorded paths of its first `dump` trials (None when dump is 0).  Its
+    seeds are trial_seeds(base_seeds[i], n_trials), so counts do not
     depend on block boundaries or on how many workers execute them.  Every
     cell's blocks share one pool; one MCResult per cell comes back.
 
-    A runner (a dataclass) with a positive `dump` also records the paths
-    of its cell's first `dump` trials while it counts them.  Each block
-    runs a copy whose dump is the number of those trials it holds, and a
-    block with a positive dump returns (outcomes, paths); the cell's
-    MCResult carries the paths in trial order.
+    Each block runs a copy of its runner whose dump is the number of the
+    cell's first `dump` trials it holds, so the cell's MCResult carries
+    the paths of those trials in trial order.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
@@ -206,10 +207,8 @@ def estimate_probability(runners, n_trials: int, base_seeds, jobs: int = 1):
     tasks, owners = [], []
     for cell, (runner, seed) in enumerate(cells):
         seeds = trial_seeds(seed, n_trials)
-        dump = getattr(runner, "dump", 0)
         for a in range(0, n_trials, width):
-            block = (dataclasses.replace(runner, dump=min(max(dump - a, 0), width))
-                     if dump else runner)
+            block = dataclasses.replace(runner, dump=min(max(runner.dump - a, 0), width))
             tasks.append((block, seeds[a:a + width]))
             owners.append(cell)
     if jobs > 1 and len(tasks) > 1:
@@ -223,9 +222,8 @@ def estimate_probability(runners, n_trials: int, base_seeds, jobs: int = 1):
         raise min(errors, key=lambda exc: exc.step_index)
     counts = [{oc: 0 for oc in Outcome} for _ in cells]
     recorded = [[] for _ in cells]
-    for (block, _), cell, out in zip(tasks, owners, outcomes):
-        if getattr(block, "dump", 0):
-            out, paths = out
+    for cell, (out, paths) in zip(owners, outcomes):
+        if paths is not None:
             recorded[cell].append(paths)
         for outcome in out:
             counts[cell][outcome] += 1

@@ -42,7 +42,6 @@ __all__ = [
     "linear_exact_batch",
     "linear_hit_zero_mc",
     "em_batch",
-    "em_paths",
     "coupled_violations_batch",
 ]
 
@@ -122,7 +121,11 @@ def brownian_increments(grid: TimeGrid, seed: int) -> BrownianPath:
 
 
 def _em_coefficients(noise: NoiseSchedule, grid: TimeGrid):
-    """Per-step drift weight w*dt, noise amplitude g and sqrt(dt) along the grid."""
+    """Per-step drift weight w*dt, noise amplitude g and sqrt(dt) along the
+    grid, once the grid starts where the schedule is defined."""
+    if grid.t0 < noise.min_t0:
+        raise ValueError(f"grid starts before t0 = {noise.min_t0} "
+                         f"allowed by schedule {noise.kind!r}")
     t = grid.times()
     dt = grid.step_sizes()
     wdt = np.asarray(noise.drift_weight(t[:-1]), dtype=float) * dt
@@ -154,14 +157,10 @@ def _standard_normal(gen: np.random.Generator, out: np.ndarray) -> None:
     gen.standard_normal(out=out)
 
 
-def _path_increments(noise: NoiseSchedule, grid: TimeGrid,
-                     path: BrownianPath) -> np.ndarray:
+def _path_increments(grid: TimeGrid, path: BrownianPath) -> np.ndarray:
     """The path's increments as one trial's row, once they fit the grid."""
     if path.grid != grid:
         raise ValueError("path was drawn on a different grid")
-    if grid.t0 < noise.min_t0:
-        raise ValueError(f"grid starts before t0 = {noise.min_t0} "
-                         f"allowed by schedule {noise.kind!r}")
     return path.increments.reshape(1, -1)
 
 
@@ -174,17 +173,8 @@ def simulate_em(spec: ProcessSpec, grid: TimeGrid, path: BrownianPath) -> Trajec
     """
     record = Record((1,), grid.n_steps)
     _em_drive(spec, grid, [record],
-              increments=_path_increments(spec.noise, grid, path))
+              increments=_path_increments(grid, path))
     return Trajectory(grid.times(), record.value[0])
-
-
-def em_paths(spec: ProcessSpec, grid: TimeGrid, seeds) -> np.ndarray:
-    """Every state of one EM trajectory per seed, shape (trials, n_steps + 1);
-    row i equals simulate_em on brownian_increments(grid, seeds[i])."""
-    seeds = np.asarray(list(seeds), dtype=np.uint64)
-    record = Record((len(seeds),), grid.n_steps)
-    _em_drive(spec, grid, [record], seeds=seeds)
-    return record.value
 
 
 def em_batch(spec: ProcessSpec, grid: TimeGrid, seeds,
@@ -200,9 +190,9 @@ def em_batch(spec: ProcessSpec, grid: TimeGrid, seeds,
     grouped or scheduled.  With a barrier the run classifies (see
     rng.drive): a trial whose max passed the barrier retires at the next
     chunk end, and its final and tail_abs_max are its values at
-    retirement.  A `record` there receives every state of the leading
-    trials, which are stepped to the horizon, as em_paths would return
-    them.
+    retirement.  A `record` receives every state of its leading trials,
+    which are stepped to the horizon: row i is simulate_em's values on
+    brownian_increments(grid, seeds[i]).
     """
     seeds = np.asarray(list(seeds), dtype=np.uint64)
     extremes = Extremes(len(seeds), grid.times(), tail_start)
@@ -244,7 +234,7 @@ def simulate_coupled(spec_a: ProcessSpec, spec_b: ProcessSpec,
     pair equals coupled_violations_batch's trial on the same noise."""
     record = Record((2, 1), grid.n_steps)
     _coupled_drive(spec_a, spec_b, x0_a, x0_b, grid, [record],
-                   increments=_path_increments(spec_a.noise, grid, path))
+                   increments=_path_increments(grid, path))
     times = grid.times()
     return Trajectory(times, record.value[0, 0]), Trajectory(times, record.value[1, 0])
 

@@ -39,7 +39,6 @@ __all__ = [
     "UrnSgdReport",
     "simulate_sgd",
     "sgd_batch",
-    "sgd_paths",
     "simulate_urn",
     "urn_final_batch",
     "urn_as_sgd_check",
@@ -128,18 +127,9 @@ def simulate_sgd(drift: DriftSpec, gamma: float, noise: NoiseSpec | None,
     the trajectory's times are n = n0..n_end.  noise=None runs the
     noise-free recursion.
     """
-    values = sgd_paths(drift, gamma, noise, x0, n0, n_end, [seed])
-    return Trajectory(np.arange(n0, n_end + 1, dtype=float), values[0])
-
-
-def sgd_paths(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: float,
-              n0: int, n_end: int, seeds) -> np.ndarray:
-    """States X_{n0..n_end} of one recursion per seed, shape
-    (trials, n_end - n0 + 1); row i equals simulate_sgd at seeds[i]."""
-    seeds = np.asarray(list(seeds), dtype=np.uint64)
-    record = Record((len(seeds),), n_end - n0)
-    _sgd_drive(drift, gamma, noise, x0, n0, n_end, seeds, [record])
-    return record.value
+    record = Record((1,), n_end - n0)
+    _sgd_drive(drift, gamma, noise, x0, n0, n_end, [seed], [record])
+    return Trajectory(np.arange(n0, n_end + 1, dtype=float), record.value[0])
 
 
 def sgd_batch(drift: DriftSpec, gamma: float, noise: NoiseSpec, x0: float,
@@ -153,8 +143,9 @@ def sgd_batch(drift: DriftSpec, gamma: float, noise: NoiseSpec, x0: float,
     match simulate_sgd exactly.  With a barrier the run classifies (see
     rng.drive): a trial whose max passed the barrier retires at the next
     chunk end, and its final and tail_abs_max are its values at
-    retirement.  A `record` there receives every state of the leading
-    trials, which are stepped to n_end, as sgd_paths would return them."""
+    retirement.  A `record` receives every state of its leading trials,
+    which are stepped to n_end: row i is simulate_sgd's values at
+    seeds[i]."""
     seeds = np.asarray(list(seeds), dtype=np.uint64)
     extremes = Extremes(len(seeds), np.arange(n0, n_end + 1, dtype=float), tail_start)
     observers = [extremes] if record is None else [extremes, record]

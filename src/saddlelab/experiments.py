@@ -21,11 +21,11 @@ both build one runner per (k, gamma) cell and count every cell's trials
 in one estimate_probability call.
 
 Experiment runners are plain frozen dataclasses mapping a block of trial
-seeds to outcomes, so they pickle cleanly onto worker processes.  A runner
-names the model whose prediction applies (`model`), and one with a positive
-`dump` also returns every state of the first `dump` trials it counts: the
-counting run records them (--dump-trajectories), so they are never
-simulated twice.
+seeds to (outcomes, paths), so they pickle cleanly onto worker processes.
+A runner names the model whose prediction applies (`model`); paths holds
+every state of the first `dump` trials it counts, recorded by the counting
+run (--dump-trajectories) so they are never simulated twice, and is None
+when dump is 0.
 """
 
 from __future__ import annotations
@@ -61,16 +61,16 @@ def _head_record(runner, seeds, n_steps: int) -> Record | None:
 
 def _counted(runner, stats, record):
     outcomes = classify_stats(stats.max_value, stats.tail_abs_max, runner.cfg)
-    return outcomes if record is None else (outcomes, record.value)
+    return outcomes, None if record is None else record.value
 
 
 @dataclass(frozen=True)
 class ContinuousDichotomyRunner:
     """EM trials of one SDE instance, classified from their running stats.
 
-    With a positive dump the first dump trials of each call are stepped to
-    the horizon and recorded by the same run, and the call returns
-    (outcomes, paths), paths[i] holding every grid state of trial i."""
+    A call returns (outcomes, paths).  With a positive dump the first dump
+    trials are stepped to the horizon and recorded by the same run,
+    paths[i] holding every grid state of trial i; else paths is None."""
 
     spec: ProcessSpec
     t_end: float
@@ -99,9 +99,9 @@ class ContinuousDichotomyRunner:
 class DiscreteDichotomyRunner:
     """Trials of one discrete recursion, classified from their running stats.
 
-    With a positive dump the first dump trials of each call are stepped to
-    n_end and recorded by the same run, and the call returns
-    (outcomes, paths), paths[i] holding X_{n0..n_end} of trial i."""
+    A call returns (outcomes, paths).  With a positive dump the first dump
+    trials are stepped to n_end and recorded by the same run, paths[i]
+    holding X_{n0..n_end} of trial i; else paths is None."""
 
     drift: DriftSpec
     noise: disc.NoiseSpec
@@ -316,8 +316,12 @@ def phase_sweep(config: ExperimentConfig) -> list[DichotomyOutput]:
     gamma.
 
     Cell seeds derive from (base seed, cell index), so the table is
-    reproducible cell-by-cell and independent of worker count.
+    reproducible cell-by-cell and independent of worker count.  A sweep
+    records no paths, so it rejects dump_trajectories.
     """
+    if config.dump_trajectories:
+        raise ValueError("dump_trajectories records the paths of a single "
+                         "dichotomy run; a sweep cannot dump them")
     cells = [(k, gamma) for k in config.k_values for gamma in config.gamma_values]
     if not cells:
         return []

@@ -12,7 +12,7 @@ from saddlelab.continuous import (BrownianPath, TimeGrid, Trajectory,
                                   brownian_increments, linear_exact_batch,
                                   em_batch, simulate_em)
 from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec, predict_regime
-from saddlelab.rng import NonFiniteStateError, derive_seed, make_rng
+from saddlelab.rng import Extremes, NonFiniteStateError, derive_seed, make_rng
 
 CFG = ClassifierConfig(eps_conv=0.05, barrier=3.0, tail_fraction=0.2)
 
@@ -45,6 +45,17 @@ class TestClassifier:
         t = np.linspace(0, 10, 1000)
         v = np.zeros(1000)
         v[10] = 4.0
+        assert classify(traj_from(t, v), CFG) is Outcome.ESCAPED
+
+    def test_nan_after_escape_agrees_with_running_max(self):
+        # the running max skips a NaN state, as Extremes does in every batch
+        t = np.arange(5.0)
+        v = np.array([0.0, 5.0, np.nan, 0.0, 0.0])
+        top = Extremes(1, t, CFG.tail_start(t[0], t[-1]))
+        top.begin(v[:1], slice(None))
+        for i in range(1, len(v)):
+            top.step(v[i:i + 1], i)
+        assert classify_stats(top.max_value, top.tail_abs_max, CFG) == [Outcome.ESCAPED]
         assert classify(traj_from(t, v), CFG) is Outcome.ESCAPED
 
     @pytest.mark.parametrize("dt, tail_fraction, eps_conv", [
@@ -111,20 +122,24 @@ class TestWilson:
 
 @dataclass(frozen=True)
 class StubRunner:
-    """Deterministic classifier stub: outcome decided by the seed's parity."""
+    """Deterministic classifier stub: outcome decided by the seed's parity.
+    It records nothing, whatever its dump."""
 
     escape_all: bool = False
+    dump: int = 0
 
     def __call__(self, seeds):
         if self.escape_all:
-            return [Outcome.ESCAPED for _ in seeds]
+            return [Outcome.ESCAPED for _ in seeds], None
         return [Outcome.CONVERGED if int(s) % 2 == 0 else Outcome.ESCAPED
-                for s in seeds]
+                for s in seeds], None
 
 
 @dataclass(frozen=True)
 class ZeroNoiseEscapeRunner:
     """Deterministic growing path classified per trial (same ODE per seed)."""
+
+    dump: int = 0
 
     def __call__(self, seeds):
         grid = TimeGrid(0.0, 4.0, 1e-3)
@@ -133,25 +148,25 @@ class ZeroNoiseEscapeRunner:
         cfg = ClassifierConfig(eps_conv=0.01, barrier=3.0)
         traj = simulate_em(spec, grid, BrownianPath.zeros(grid))
         outcome = classify(traj, cfg)
-        return [outcome for _ in seeds]
+        return [outcome for _ in seeds], None
 
 
 @dataclass(frozen=True)
 class RecordingStub(StubRunner):
     """StubRunner that "records" its first dump trials: their seeds."""
 
-    dump: int = 0
-
     def __call__(self, seeds):
-        outcomes = super().__call__(seeds)
+        outcomes, _ = super().__call__(seeds)
         if not self.dump:
-            return outcomes
+            return outcomes, None
         return outcomes, np.asarray(seeds[:self.dump])[:, None]
 
 
 @dataclass(frozen=True)
 class FailingStub:
     """Raises NonFiniteStateError at a step set by its block's first trial."""
+
+    dump: int = 0
 
     def __call__(self, seeds):
         raise NonFiniteStateError(1000 - int(seeds[0]) % 997)

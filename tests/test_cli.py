@@ -6,10 +6,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from saddlelab import experiments
 from saddlelab.analysis import Outcome, classify, trial_seeds
 from saddlelab.cli import build_parser, main, resolve_config
-from saddlelab.continuous import TimeGrid
+from saddlelab.continuous import TimeGrid, brownian_increments
+from saddlelab.discrete import NoiseSpec
 from saddlelab.experiments import run_dichotomy
+from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
+
+from helpers import em_reference, sgd_reference
 
 FAST_SWEEP = ["sweep", "--model", "continuous", "--k-values", "2.0",
               "--gamma-values", "0.6,0.9", "--trials", "24",
@@ -47,6 +52,26 @@ class TestSweepCommand:
                    "--seed", "3", "--out", str(tmp_path), "--jobs", "1"])
         assert rc == 0
         assert len(read_csv(tmp_path / "sweep_results.csv")) == 2
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_dump_trajectories_is_an_error_before_any_trial(self, source, tmp_path,
+                                                           capsys, monkeypatch):
+        # a sweep records no paths: asking it to dump them stops it at once
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "estimate_probability", no_trials)
+        argv = FAST_SWEEP + ["--out", str(tmp_path)]
+        if source == "flag":
+            argv.append("--dump-trajectories")
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"dump_trajectories": True}))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dump_trajectories" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            [] if source == "flag" else ["cfg.json"])
 
     def test_json_round_trip(self, tmp_path):
         rc = main(FAST_SWEEP + ["--format", "json", "--out", str(tmp_path)])
@@ -207,17 +232,16 @@ DUMP_MODELS = {
 }
 
 
-def _batch_paths(model, seeds):
-    """The paths sgd_paths/em_paths step for these seeds under DUMP_MODELS."""
-    from saddlelab.continuous import em_paths
-    from saddlelab.discrete import NoiseSpec, sgd_paths
-    from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
-
+def _reference_paths(model, seeds):
+    """The plain-loop paths of these seeds under DUMP_MODELS."""
     drift = DriftSpec("monomial", 2.0, 1.0, 10.0)
     if model == "discrete":
-        return sgd_paths(drift, 0.8, NoiseSpec("rademacher"), -0.2, 10, 20010, seeds)
+        return sgd_reference(drift, 0.8, NoiseSpec("rademacher"), -0.2, 10, 20010,
+                             seeds)
     spec = ProcessSpec(drift, NoiseSchedule("power_transformed", 0.6), t0=1.0, x0=-0.2)
-    return em_paths(spec, TimeGrid(1.0, 60.0, 0.005), seeds)
+    grid = TimeGrid(1.0, 60.0, 0.005)
+    dw = np.array([brownian_increments(grid, s).increments for s in seeds])
+    return em_reference(spec, grid, dw)
 
 
 class TestDumpTrajectories:
@@ -243,7 +267,7 @@ class TestDumpTrajectories:
                                                          dump_max, jobs, tmp_path):
         arrays = self._run(model, trials, jobs, tmp_path, dump_max)
         n = min(trials, 10 if dump_max is None else dump_max)
-        expected = _batch_paths(model, trial_seeds(64, n))
+        expected = _reference_paths(model, trial_seeds(64, n))
         names = [f"trial_{i}" for i in range(n)]
         assert sorted(arrays) == sorted(names + (["times"] if model == "continuous" else []))
         for i, name in enumerate(names):

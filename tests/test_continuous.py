@@ -5,12 +5,14 @@ import pytest
 
 from saddlelab.continuous import (BrownianPath, NonFiniteStateError, TimeGrid,
                                   _em_drive, brownian_increments,
-                                  coupled_violations_batch, em_batch, em_paths,
+                                  coupled_violations_batch, em_batch,
                                   gaussian_clock, linear_exact_batch,
                                   linear_hit_zero_mc, quadratic_variation,
                                   simulate_coupled, simulate_em)
 from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
-from saddlelab.rng import derive_seed
+from saddlelab.rng import Record, derive_seed
+
+from helpers import em_reference, first_bad_step
 
 EXP = NoiseSchedule("exp_half")
 
@@ -36,27 +38,6 @@ def linear_em_reference(spec, grid, dw):
     return values
 
 
-def one_expression_drift(spec, x):
-    """f(x) as a single expression, with no step done in place."""
-    if spec.family == "linear":
-        return spec.k * np.abs(x)
-    return spec.c * np.minimum(np.abs(x), spec.cap) ** spec.k
-
-
-def em_reference(spec, grid, dw):
-    """EM as a plain loop, x += f(x) w dt + g dW per step, one trial per row
-    of dw; shape (trials, n_steps + 1)."""
-    t = grid.times()[:-1]
-    wdt = spec.noise.drift_weight(t) * grid.step_sizes()
-    g = spec.noise.g(t)
-    x = np.full(len(dw), float(spec.x0))
-    values = [x.copy()]
-    for i in range(grid.n_steps):
-        x += one_expression_drift(spec.drift, x) * wdt[i] + g[i] * dw[:, i]
-        values.append(x.copy())
-    return np.array(values).T
-
-
 # monomial drifts start at |x0| = 0.6 above their cap of 0.5
 IN_PLACE_DRIFTS = [DriftSpec("linear", 0.3)] + [
     DriftSpec("monomial", k, c, 0.5) for k in (1.5, 2.0, 3.0) for c in (1.0, 0.7)]
@@ -64,15 +45,6 @@ IN_PLACE_IDS = [f"{d.family}-k{d.k:g}-c{d.c:g}" for d in IN_PLACE_DRIFTS]
 IN_PLACE_SCHEDULES = pytest.mark.parametrize(
     "schedule, t0", [(EXP, 0.0), (NoiseSchedule("power_gamma", 0.7), 1.0)],
     ids=["exp_half", "power_gamma"])
-
-
-def first_bad_step(run, *args):
-    """The step a NonFiniteStateError names, or None if run finishes."""
-    try:
-        run(*args)
-    except NonFiniteStateError as err:
-        return err.step_index
-    return None
 
 
 class BandEntered:
@@ -250,7 +222,9 @@ def test_in_place_em_update_equals_the_plain_loop(drift, schedule, t0):
     grid = TimeGrid(t0, t0 + 4.0, 5e-3)
     seeds = [derive_seed(19, i) for i in range(5)]
     dw = np.array([brownian_increments(grid, s).increments for s in seeds])
-    assert np.array_equal(em_paths(spec, grid, seeds), em_reference(spec, grid, dw))
+    record = Record((len(seeds),), grid.n_steps)
+    em_batch(spec, grid, seeds, record=record)
+    assert np.array_equal(record.value, em_reference(spec, grid, dw))
 
 
 @pytest.mark.parametrize("drift", IN_PLACE_DRIFTS, ids=IN_PLACE_IDS)
@@ -273,6 +247,26 @@ def test_in_place_coupled_update_equals_the_plain_loop(drift, schedule, t0):
     below = ref_a < ref_b
     assert below.any() and not below.all()
     assert np.array_equal(first, np.where(below.any(axis=1), below.argmax(axis=1), -1))
+
+
+@pytest.mark.parametrize("kernel", ["simulate_em", "em_batch", "simulate_coupled",
+                                    "coupled_violations_batch"])
+def test_grid_before_the_schedule_start_is_rejected(kernel):
+    # power clocks start at t = 1; a grid from 0 would divide by zero at its
+    # first node, so every EM kernel refuses it before stepping
+    spec = monomial_spec(2.0, -0.2, NoiseSchedule("power_transformed", 0.9), t0=1.0)
+    grid = TimeGrid(0.0, 1.0, 1e-2)
+    path = brownian_increments(grid, 3)
+    runs = {
+        "simulate_em": lambda: simulate_em(spec, grid, path),
+        "em_batch": lambda: em_batch(spec, grid, [3, 4]),
+        "simulate_coupled": lambda: simulate_coupled(spec, spec, -0.2, -0.3, grid, path),
+        "coupled_violations_batch": lambda: coupled_violations_batch(
+            spec, spec, -0.2, -0.3, grid, [3, 4]),
+    }
+    with pytest.raises(ValueError, match="grid starts before t0 = 1.0 allowed by "
+                                         "schedule 'power_transformed'"):
+        runs[kernel]()
 
 
 class TestCoupling:

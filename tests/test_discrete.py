@@ -4,29 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from saddlelab.discrete import (NoiseSpec, sgd_batch, sgd_paths, simulate_sgd,
+from saddlelab.discrete import (NoiseSpec, _sgd_drive, sgd_batch, simulate_sgd,
                                 step_correction, z_diagnostics)
 from saddlelab.model import DriftSpec, MeanFlowFrame, mean_flow_h
-from saddlelab.rng import (NOISE_CHUNK, NonFiniteStateError, chunk_ranges,
-                           derive_seed, make_rng)
+from saddlelab.rng import NOISE_CHUNK, Record, chunk_ranges, derive_seed, make_rng
+
+from helpers import draw, first_bad_step, sgd_reference
 
 MONO = DriftSpec("monomial", 2.0, 1.0, 10.0)
-
-
-def draw(noise, rng, n):
-    """The next n values of rng's noise stream."""
-    out = np.empty(n)
-    noise.fill(rng, out)
-    return out
-
-
-def first_bad_step(run, *args):
-    """The step a NonFiniteStateError names, or None if run finishes."""
-    try:
-        run(*args)
-    except NonFiniteStateError as err:
-        return err.step_index
-    return None
 
 
 class TestNoiseSpec:
@@ -83,12 +68,13 @@ class TestSgdRecursion:
         seeds = [derive_seed(3, i) for i in range(4)]
         tracemalloc.start()
         try:
-            values = sgd_paths(DriftSpec("monomial", 2.0), 0.9, None, -0.2,
-                               10, 250_010, seeds)
+            record = Record((len(seeds),), 250_000)
+            _sgd_drive(DriftSpec("monomial", 2.0), 0.9, None, -0.2, 10, 250_010,
+                       seeds, [record])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * values.nbytes
+        assert peak < 1.5 * record.value.nbytes
 
     def test_rademacher_steps_have_exact_magnitude(self):
         gamma, x0, n0, n_end, seed = 0.7, -0.3, 1, 400, 77
@@ -132,7 +118,7 @@ class TestSgdRecursion:
         seeds = [derive_seed(801, i) for i in range(31, 36)]
         stats = sgd_batch(drift, 0.7, noise, -0.2, 10, 20_010, seeds,
                           tail_start=16_010)
-        paths = sgd_paths(drift, 0.7, noise, -0.2, 10, 20_010, seeds)
+        paths = sgd_reference(drift, 0.7, noise, -0.2, 10, 20_010, seeds)
         for i, s in enumerate(seeds):
             traj = simulate_sgd(drift, 0.7, noise, -0.2, 10, 20_010, s)
             assert np.array_equal(traj.values, paths[i])
@@ -173,28 +159,6 @@ class TestSgdRecursion:
             simulate_sgd(MONO, 0.9, None, -0.2, 10, 10, 0)
 
 
-def one_expression_drift(spec, x):
-    """f(x) as a single expression, with no step done in place."""
-    if spec.family == "linear":
-        return spec.k * np.abs(x)
-    return spec.c * np.minimum(np.abs(x), spec.cap) ** spec.k
-
-
-def sgd_reference(drift, gamma, noise, x0, n0, n_end, seeds):
-    """The recursion as a plain loop, x += f(x) h + y h per step, on each
-    seed's draws (zeros when noise is None); shape (trials, steps + 1)."""
-    steps = n_end - n0
-    h = np.arange(n0, n_end, dtype=float) ** -gamma
-    y = (np.zeros((len(seeds), steps)) if noise is None else
-         np.array([draw(noise, make_rng(s), steps) for s in seeds]))
-    x = np.full(len(seeds), float(x0))
-    values = [x.copy()]
-    for i in range(steps):
-        x += one_expression_drift(drift, x) * h[i] + y[:, i] * h[i]
-        values.append(x.copy())
-    return np.array(values).T
-
-
 # monomial drifts start at |x0| = 0.6 above their cap of 0.5
 IN_PLACE_DRIFTS = [DriftSpec("linear", 0.3)] + [
     DriftSpec("monomial", k, c, 0.5) for k in (1.5, 2.0, 3.0) for c in (1.0, 0.7)]
@@ -207,9 +171,10 @@ IN_PLACE_DRIFTS = [DriftSpec("linear", 0.3)] + [
                          ids=["rademacher", "uniform", "noise-free"])
 def test_in_place_update_equals_the_plain_loop(drift, noise):
     seeds = [derive_seed(17, i) for i in range(5)]
-    paths = sgd_paths(drift, 0.6, noise, -0.6, 1, 2001, seeds)
+    record = Record((len(seeds),), 2000)
+    sgd_batch(drift, 0.6, noise, -0.6, 1, 2001, seeds, record=record)
     expected = sgd_reference(drift, 0.6, noise, -0.6, 1, 2001, seeds)
-    assert np.array_equal(paths, expected)
+    assert np.array_equal(record.value, expected)
 
 
 class TestZDiagnostics:

@@ -126,7 +126,8 @@ class TestRunners:
                                   t0=0.0, horizon=4.0, dt=1e-2)
         runner = _build_runner(config, 0.8, config.gamma)
         assert isinstance(runner, ContinuousDichotomyRunner)
-        outcomes = runner([derive_seed(1, i) for i in range(16)])
+        outcomes, paths = runner([derive_seed(1, i) for i in range(16)])
+        assert paths is None
         assert len(outcomes) == 16
         assert all(isinstance(oc, Outcome) for oc in outcomes)
 
@@ -137,7 +138,8 @@ class TestRunners:
             drift=DriftSpec("monomial", 2.0, 1.0, 10.0),
             noise=NoiseSpec("rademacher", 1.0), gamma=0.9, x0=-0.2, n0=10,
             n_end=2010, cfg=runner.cfg)
-        outcomes = runner([derive_seed(2, i) for i in range(8)])
+        outcomes, paths = runner([derive_seed(2, i) for i in range(8)])
+        assert paths is None
         assert len(outcomes) == 8
 
     def test_discrete_runner_agrees_with_classify(self):
@@ -151,7 +153,7 @@ class TestRunners:
         seeds = [derive_seed(0, i) for i in range(400)]
         single = [classify(simulate_sgd(drift, 0.9, noise, -0.2, 10, 17, s), cfg)
                   for s in seeds]
-        assert runner(seeds) == single
+        assert runner(seeds) == (single, None)
         assert Outcome.CONVERGED in single and Outcome.UNDECIDED in single
 
     def test_run_dichotomy_reproducible(self):

@@ -9,6 +9,8 @@ from saddlelab.model import (DriftSpec, MeanFlowFrame, NoiseSchedule,
                              time_change_exp_inverse, time_change_power,
                              time_change_power_inverse, z_coordinate)
 
+from helpers import one_expression_drift
+
 
 def test_linear_drift_value():
     spec = DriftSpec("linear", 0.8)
@@ -34,13 +36,6 @@ def test_drift_even_nonnegative_monotone():
         grid = np.linspace(0, spec.cap, 100)
         diffs = np.diff(drift_eval(spec, grid))
         assert np.all(diffs >= -1e-12)
-
-
-def one_expression_drift(spec, x):
-    """f(x) as a single expression, with no step done in place."""
-    if spec.family == "linear":
-        return spec.k * np.abs(x)
-    return spec.c * np.minimum(np.abs(x), spec.cap) ** spec.k
 
 
 @pytest.mark.parametrize("spec", [DriftSpec("linear", 0.3)] + [

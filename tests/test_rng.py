@@ -10,6 +10,8 @@ from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
 from saddlelab.rng import (Extremes, NonFiniteStateError, Record, chunk_ranges,
                            derive_seed, drive, make_rng)
 
+from helpers import first_bad_step
+
 SAMPLERS = {
     "standard_normal": lambda gen, size: gen.standard_normal(size),
     "uniform": lambda gen, size: gen.uniform(-1.0, 1.0, size=size),
@@ -318,7 +320,8 @@ def test_escaped_then_non_finite_is_decided_not_an_error(monkeypatch, bad):
 
 def _recorded_and_plain(model, seeds, barrier, n_record):
     """A barrier run with a Record of the first n_record trials, the same
-    run without it, and those trials' paths from a run with no barrier."""
+    run without it, and those trials' paths as the single-path simulator
+    steps them."""
     if model == "continuous":
         spec = ProcessSpec(DriftSpec("monomial", 2.0),
                            NoiseSchedule("power_transformed", 0.6), t0=1.0, x0=-0.2)
@@ -327,7 +330,9 @@ def _recorded_and_plain(model, seeds, barrier, n_record):
 
         def run(**kw):
             return continuous.em_batch(spec, grid, seeds, tail_start=tail, **kw)
-        reference = continuous.em_paths(spec, grid, seeds[:n_record])
+        reference = [continuous.simulate_em(spec, grid,
+                                            continuous.brownian_increments(grid, s))
+                     for s in seeds[:n_record]]
     else:
         args = (DriftSpec("monomial", 2.0, 1.0, 10.0), 0.8,
                 discrete.NoiseSpec("rademacher"), -0.2, 10, 1210)
@@ -335,9 +340,10 @@ def _recorded_and_plain(model, seeds, barrier, n_record):
 
         def run(**kw):
             return discrete.sgd_batch(*args, seeds, tail_start=tail, **kw)
-        reference = discrete.sgd_paths(*args, seeds[:n_record])
+        reference = [discrete.simulate_sgd(*args, s) for s in seeds[:n_record]]
     record = Record((n_record,), n_steps)
-    return run(barrier=barrier, record=record), run(barrier=barrier), record, reference
+    return (run(barrier=barrier, record=record), run(barrier=barrier), record,
+            np.array([traj.values for traj in reference]))
 
 
 _CFG = ClassifierConfig(eps_conv=0.05, barrier=0.5)
@@ -397,10 +403,9 @@ def test_recorded_recursion_overflow_names_the_paths_step():
     args = (DriftSpec("monomial", 2.0, 1.0, 1e200), 0.6,
             discrete.NoiseSpec("rademacher"), 5.0, 10, 2010)
     seeds = derive_seed(65, np.arange(4))
-    with pytest.raises(NonFiniteStateError) as alone:
-        discrete.sgd_paths(*args, seeds[:2])
+    alone = [first_bad_step(discrete.simulate_sgd, *args, s) for s in seeds[:2]]
     with pytest.raises(NonFiniteStateError) as err:
         discrete.sgd_batch(*args, seeds, barrier=3.0, record=Record((2,), 2000))
-    assert err.value.step_index == alone.value.step_index
+    assert err.value.step_index == min(alone)
     out = discrete.sgd_batch(*args, seeds, barrier=3.0)
     assert np.all(out.max_value > 3.0)
