@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .model import NoiseSchedule, ProcessSpec, drift_eval
 from .rng import (Extremes, FirstViolation, NonFiniteStateError, Record,
                   derive_seed, drive, make_rng)
@@ -312,11 +313,11 @@ def linear_exact_batch(k: float, regime: str, x_s, s: float,
         raise ValueError("query times must be strictly increasing")
     full = np.concatenate(([s], times))
     mean, std = _branch_coefficients(k, regime, full)
-    rng = make_rng(seed)
+    gen = make_rng(seed)
     values = np.empty((n_paths, len(times)))
     x = np.broadcast_to(np.asarray(x_s, dtype=float), (n_paths,)).copy()
     for j in range(len(times)):
-        x = mean[j] * x + std[j] * rng.standard_normal(n_paths)
+        x = mean[j] * x + std[j] * gen.standard_normal(n_paths)
         values[:, j] = x
     if regime == "negative":
         crossed = values >= 0.0
@@ -357,35 +358,39 @@ def linear_hit_zero_mc(k: float, x_s: float, s: float, t_end: float,
     tau_end = float(gaussian_clock(k, s, t_end))
     dtau = tau_end / HIT_GRID
     sqrt_dtau = math.sqrt(dtau)
-    # one block of draws, reused: the walk's increments, then the bridge's
-    # uniforms for the paths that stayed below b
-    buffer = np.empty((min(HIT_BLOCK, n_paths), HIT_GRID))
+    # one array of at most TRIAL_CAP paths' draws, reused: first each
+    # sub-block's walk increments, then the bridge uniforms of the paths
+    # that stayed below b, sub-block by sub-block in path order.  A stream
+    # is read as by two requests, all its normals and then all its
+    # uniforms, so the count does not depend on TRIAL_CAP; only the
+    # survivors' bridge probabilities are kept in between.
+    width = rng.TRIAL_CAP
+    buffer = np.empty((min(width, n_paths), HIT_GRID))
     hits = 0
-    done = 0
-    batch_index = 0
-    while done < n_paths:
+    for batch_index, done in enumerate(range(0, n_paths, HIT_BLOCK)):
         m = min(HIT_BLOCK, n_paths - done)
-        rng = make_rng(derive_seed(seed, batch_index))
-        w = buffer[:m]
-        rng.standard_normal(out=w)
-        w *= sqrt_dtau
-        np.cumsum(w, axis=1, out=w)
-        crossed = (w >= b).any(axis=1)
-        alive = np.flatnonzero(~crossed)
-        if len(alive):
-            # gap[:, j] = b - w at node j + 1; at node 0, w = 0 and b - 0 = b
-            gap = w[alive]
-            np.subtract(b, gap, out=gap)
-            expo = np.empty_like(gap)
-            expo[:, 0] = -2.0 * b
-            np.multiply(-2.0, gap[:, :-1], out=expo[:, 1:])
-            expo *= gap
-            expo /= dtau
-            p_bridge = np.exp(expo, out=expo)
-            u = buffer[:len(alive)]
-            rng.random(out=u)
-            crossed[alive] = (u < p_bridge).any(axis=1)
-        hits += int(crossed.sum())
-        done += m
-        batch_index += 1
+        gen = make_rng(derive_seed(seed, batch_index))
+        p_bridges = []
+        for lo in range(0, m, width):
+            w = buffer[:min(width, m - lo)]
+            gen.standard_normal(out=w)
+            w *= sqrt_dtau
+            np.cumsum(w, axis=1, out=w)
+            crossed = (w >= b).any(axis=1)
+            hits += int(crossed.sum())
+            alive = np.flatnonzero(~crossed)
+            if len(alive):
+                # gap[:, j] = b - w at node j + 1; at node 0, w = 0 and b - 0 = b
+                gap = w[alive]
+                np.subtract(b, gap, out=gap)
+                expo = np.empty_like(gap)
+                expo[:, 0] = -2.0 * b
+                np.multiply(-2.0, gap[:, :-1], out=expo[:, 1:])
+                expo *= gap
+                expo /= dtau
+                p_bridges.append(np.exp(expo, out=expo))
+        for p_bridge in p_bridges:
+            u = buffer[:len(p_bridge)]
+            gen.random(out=u)
+            hits += int((u < p_bridge).any(axis=1).sum())
     return hits, n_paths

@@ -342,7 +342,11 @@ class UrnOutput:
 
 def run_urn_experiment(config: ExperimentConfig) -> UrnOutput:
     """Urn Monte Carlo: final-fraction statistics plus a pathwise
-    decomposition audit on the first trial's seed."""
+    decomposition audit on the first trial's seed.  The urn records no
+    paths, so it rejects dump_trajectories."""
+    if config.dump_trajectories:
+        raise ValueError("dump_trajectories records the paths of a single "
+                         "dichotomy run; the urn cannot dump them")
     spec = disc.UrnSpec(config.urn_f, value=config.urn_value,
                         table=config.urn_table, red0=config.urn_red0,
                         total0=config.urn_total0)

@@ -13,10 +13,13 @@ Every simulator advances its state through `drive`, so a trial runs the
 same update arithmetic whether it runs alone (a batch of one), in a batch,
 or on a worker process, and it consumes the same stream because the stream
 is its own.  numpy's draws do not depend on how a stream is cut into
-requests (the test suite pins this), so NOISE_CHUNK (RETIRE_CHUNK in a run
-that retires escaped trials) never changes a value.  It does set the size
-of the draw buffer, how many draw calls a run makes, and, in a run that
-retires escaped trials, how soon after its escape a trial stops.
+requests (the test suite pins this), so the chunk length never changes a
+value.  Every run steps its trials in chunks of RETIRE_CHUNK steps when
+TRIAL_CAP trials are stepped together, and proportionally longer (up to
+NOISE_CHUNK) when fewer are, so at any width the draw buffer holds at most
+TRIAL_CAP x RETIRE_CHUNK draws (4 MiB, plus the row pad below).  The chunk
+sets how many draw calls a run makes and, in a run that retires escaped
+trials, how soon after its escape a trial stops.
 
 The draw buffer holds one row per trial, and each step reads its noise down
 a column.  Its rows lie an odd number of 64-byte cache lines apart: the
@@ -35,8 +38,8 @@ __all__ = ["NOISE_CHUNK", "RETIRE_CHUNK", "TRIAL_CAP", "derive_seed", "StreamKey
            "stream_keys", "make_rng", "chunk_ranges", "NonFiniteStateError",
            "drive", "Extremes", "FirstViolation", "Record"]
 
-NOISE_CHUNK = 8192
-RETIRE_CHUNK = 512  # steps per draw of TRIAL_CAP trials that retire when escaped
+NOISE_CHUNK = 8192  # the longest chunk, drawn by the narrowest parts
+RETIRE_CHUNK = 512  # steps per chunk when TRIAL_CAP trials are stepped together
 TRIAL_CAP = 1024  # drive steps wider trial sets in parts to bound buffer memory
 
 
@@ -257,9 +260,13 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
     at retirement.  Recorded trials never retire before the horizon, so
     their every state is recorded; they stay the leading trials of each
     part as the others retire.  A part of the trials ends when none of them
-    is left.  The chunks are RETIRE_CHUNK steps long when TRIAL_CAP trials
-    are stepped together, and proportionally longer (up to NOISE_CHUNK)
-    when fewer are.
+    is left.
+
+    Every run, with a barrier or without, steps in chunks of
+    min(NOISE_CHUNK, TRIAL_CAP * RETIRE_CHUNK // width) steps, width being
+    the part's trial count: RETIRE_CHUNK steps when TRIAL_CAP trials are
+    stepped together, proportionally more when fewer are.  The draw buffer
+    thus holds at most TRIAL_CAP x RETIRE_CHUNK draws at any width.
 
     Raises NonFiniteStateError with the first step, over all trials, after
     which some state is NaN or inf; with a barrier, a trial whose max
@@ -267,15 +274,14 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
     """
     n_trials = state.shape[-1]
     width = min(n_trials, TRIAL_CAP)
-    chunk = NOISE_CHUNK
+    # the same buffer size at every width: a narrower part draws longer
+    # chunks, which spreads each draw call's fixed cost over more values
+    chunk = min(NOISE_CHUNK, TRIAL_CAP * RETIRE_CHUNK // max(width, 1))
     recorded = 0  # how many leading trials must not retire
     if barrier is not None:
         extremes, *record = observers
         if record:
             recorded = record[0].value.shape[-2]
-        # the same buffer size at every width: a narrower part draws longer
-        # chunks, which spreads each draw call's fixed cost over more values
-        chunk = min(NOISE_CHUNK, TRIAL_CAP * RETIRE_CHUNK // max(width, 1))
     if increments is None:
         seeds = np.asarray(seeds, dtype=np.uint64)
         buffer = _draw_buffer(width, min(n_steps, chunk))

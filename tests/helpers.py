@@ -1,6 +1,6 @@
 """Helpers shared by the test modules: plain-loop references for the EM
-integrator and the discrete recursion, and the step a run's
-NonFiniteStateError names.
+integrator and the discrete recursion, a one-block reference for the
+hitting Monte Carlo, and the step a run's NonFiniteStateError names.
 
 The references step every trial with f(x) written as one expression and
 nothing done in place, so they are independent of the driver's in-place
@@ -8,9 +8,12 @@ update arithmetic; the tests compare recorded paths against them bit for
 bit.
 """
 
+import math
+
 import numpy as np
 
-from saddlelab.rng import NonFiniteStateError, make_rng
+from saddlelab.continuous import HIT_BLOCK, HIT_GRID, gaussian_clock
+from saddlelab.rng import NonFiniteStateError, derive_seed, make_rng
 
 
 def one_expression_drift(spec, x):
@@ -48,6 +51,28 @@ def em_reference(spec, grid, dw):
         x += one_expression_drift(spec.drift, x) * wdt[i] + g[i] * dw[:, i]
         values.append(x.copy())
     return np.array(values).T
+
+
+def hit_reference(k, x_s, s, t_end, n_paths, seed):
+    """linear_hit_zero_mc's hit count with each generator's HIT_BLOCK paths
+    drawn at once: every path's normals in one request, then the uniforms of
+    the paths that stayed below the barrier at every node in another."""
+    b = -math.exp(k * s) * x_s
+    dtau = float(gaussian_clock(k, s, t_end)) / HIT_GRID
+    hits = 0
+    for batch_index, done in enumerate(range(0, n_paths, HIT_BLOCK)):
+        rng = make_rng(derive_seed(seed, batch_index))
+        w = rng.standard_normal((min(HIT_BLOCK, n_paths - done), HIT_GRID))
+        w = np.cumsum(w * math.sqrt(dtau), axis=1)
+        crossed = (w >= b).any(axis=1)
+        gap = b - w[~crossed]
+        # the bridge's exponent at node j + 1 reads the gap at node j; at
+        # node 0, w = 0 and the gap is b
+        previous = np.concatenate([np.full((len(gap), 1), b), gap[:, :-1]], axis=1)
+        p_bridge = np.exp(-2.0 * previous * gap / dtau)
+        u = rng.random(p_bridge.shape)
+        hits += int(crossed.sum()) + int((u < p_bridge).any(axis=1).sum())
+    return hits
 
 
 def sgd_reference(drift, gamma, noise, x0, n0, n_end, seeds):

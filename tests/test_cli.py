@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from saddlelab import experiments
+from saddlelab import discrete, experiments
 from saddlelab.analysis import Outcome, classify, trial_seeds
 from saddlelab.cli import build_parser, main, resolve_config
 from saddlelab.continuous import TimeGrid, brownian_increments
@@ -310,6 +310,27 @@ class TestUrnCommand:
         assert "near-1/2 fraction" in printed
         manifest = json.loads((tmp_path / "urn_manifest.json").read_text())
         assert manifest["config"]["urn_f"] == "constant"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_dump_trajectories_is_an_error_before_any_trial(self, source, tmp_path,
+                                                           capsys, monkeypatch):
+        # the urn records no paths: asking it to dump them stops it at once
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(discrete, "urn_final_batch", no_trials)
+        argv = ["urn", "--steps", "100", "--trials", "5", "--jobs", "1",
+                "--out", str(tmp_path)]
+        if source == "flag":
+            argv.append("--dump-trajectories")
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"dump_trajectories": True}))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dump_trajectories" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            [] if source == "flag" else ["cfg.json"])
 
 
 class TestErrorPaths:

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from saddlelab.continuous import (BrownianPath, NonFiniteStateError, TimeGrid,
+from saddlelab import rng
+from saddlelab.continuous import (HIT_BLOCK, HIT_GRID, BrownianPath,
+                                  NonFiniteStateError, TimeGrid,
                                   _em_drive, brownian_increments,
                                   coupled_violations_batch, em_batch,
                                   gaussian_clock, linear_exact_batch,
@@ -12,9 +15,20 @@ from saddlelab.continuous import (BrownianPath, NonFiniteStateError, TimeGrid,
 from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
 from saddlelab.rng import Record, derive_seed
 
-from helpers import em_reference, first_bad_step
+from helpers import em_reference, first_bad_step, hit_reference
 
 EXP = NoiseSchedule("exp_half")
+
+
+def traced_peak(run):
+    """run()'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def linear_spec(k, x0, t0=0.0):
@@ -225,6 +239,17 @@ def test_in_place_em_update_equals_the_plain_loop(drift, schedule, t0):
     record = Record((len(seeds),), grid.n_steps)
     em_batch(spec, grid, seeds, record=record)
     assert np.array_equal(record.value, em_reference(spec, grid, dw))
+
+
+def test_coupled_runs_draw_into_one_bounded_buffer():
+    # 500 pairs x 3,000 steps: the draw buffer is at most TRIAL_CAP x
+    # RETIRE_CHUNK doubles, not 500 x 3,000
+    grid = TimeGrid(0.0, 30.0, 0.01)
+    first, peak = traced_peak(lambda: coupled_violations_batch(
+        linear_spec(0.8, -0.45), linear_spec(0.3, -0.5), -0.45, -0.5, grid,
+        derive_seed(6, np.arange(500))))
+    assert len(first) == 500
+    assert peak < 2 * rng.TRIAL_CAP * rng.RETIRE_CHUNK * 8
 
 
 @pytest.mark.parametrize("drift", IN_PLACE_DRIFTS, ids=IN_PLACE_IDS)
@@ -463,3 +488,28 @@ class TestHitZero:
         assert linear_hit_zero_mc(0.3, -0.5, 0.0, 30.0, 0, 0) == (0, 0)
         with pytest.raises(ValueError):
             linear_hit_zero_mc(0.3, -0.5, 0.0, 30.0, -1, 0)
+
+    @pytest.mark.parametrize("k", [0.3, 0.45])
+    @pytest.mark.parametrize("x_s", [-1.0, -0.25])
+    def test_counts_equal_the_one_block_loop(self, x_s, k):
+        # sub-blocks of TRIAL_CAP paths read each generator's stream as one
+        # draw of its HIT_BLOCK paths does, across both kinds of edge
+        for n_paths in (0, 1, 1023, 1024, 1025, 20_000, 20_001, 45_001):
+            assert linear_hit_zero_mc(k, x_s, 0.0, 30.0, n_paths, 41) == (
+                hit_reference(k, x_s, 0.0, 30.0, n_paths, 41), n_paths), n_paths
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_counts_do_not_depend_on_the_sub_block_width(self, monkeypatch, cap):
+        monkeypatch.setattr(rng, "TRIAL_CAP", cap)
+        for x_s in (-1.0, -0.25):
+            assert linear_hit_zero_mc(0.3, x_s, 0.0, 30.0, 301, 42) == (
+                hit_reference(0.3, x_s, 0.0, 30.0, 301, 42), 301)
+
+    def test_keeps_less_than_one_block_of_draws(self):
+        # the one-block loop held a HIT_BLOCK x HIT_GRID block of normals and
+        # two copies of its survivors; only the survivors' bridge
+        # probabilities now outlive a sub-block
+        (hits, n), peak = traced_peak(
+            lambda: linear_hit_zero_mc(0.3, -1.0, 0.0, 30.0, 20_000, 3))
+        assert hits == hit_reference(0.3, -1.0, 0.0, 30.0, 20_000, 3)
+        assert peak < HIT_BLOCK * HIT_GRID * 8

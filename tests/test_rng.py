@@ -38,14 +38,17 @@ def test_counts_do_not_depend_on_parts_or_chunks(monkeypatch):
     grid = continuous.TimeGrid(1.0, 3.0, 1e-2)
     seeds = [derive_seed(12, i) for i in range(10)]
     wide = continuous.em_batch(spec, grid, seeds, tail_start=2.5)
-    urn = discrete.urn_final_batch(discrete.UrnSpec("power", value=2.0), 300, seeds)
+    urns = [discrete.UrnSpec("power", value=2.0), discrete.UrnSpec("identity")]
+    finals = [discrete.urn_final_batch(urn, 300, seeds) for urn in urns]
     monkeypatch.setattr(rng, "TRIAL_CAP", 3)
     monkeypatch.setattr(rng, "NOISE_CHUNK", 7)
     parted = continuous.em_batch(spec, grid, seeds, tail_start=2.5)
     for field in ("final", "max_value", "tail_abs_max"):
         assert np.array_equal(getattr(wide, field), getattr(parted, field))
-    assert np.array_equal(urn, discrete.urn_final_batch(
-        discrete.UrnSpec("power", value=2.0), 300, seeds))
+    # the identity urn's parts are narrower than its kept arrays here, so
+    # they take the one-expression update the wide run's arrays replace
+    for urn, final in zip(urns, finals):
+        assert np.array_equal(final, discrete.urn_final_batch(urn, 300, seeds))
 
 
 def test_observers_see_every_step_of_every_part(monkeypatch):
@@ -200,6 +203,36 @@ def test_draw_buffer_rows_are_an_odd_number_of_lines_apart(width, chunk):
     assert pitch % 64 == 0 and (pitch // 64) % 2 == 1
     assert pitch < 8 * chunk + 128
     assert all(row.flags.c_contiguous for row in buffer[:3])
+
+
+def test_every_draw_buffer_holds_at_most_trial_cap_retire_chunks(monkeypatch):
+    # classifying or not, a run's buffer is TRIAL_CAP x RETIRE_CHUNK draws at
+    # most; narrower parts draw longer chunks, up to NOISE_CHUNK
+    shapes = []
+    draw_buffer = rng._draw_buffer
+
+    def spy(width, chunk):
+        shapes.append((width, chunk))
+        return draw_buffer(width, chunk)
+
+    monkeypatch.setattr(rng, "_draw_buffer", spy)
+
+    def update(x, step, noise):
+        x += noise
+
+    n_steps = rng.NOISE_CHUNK + 1
+    times = np.arange(n_steps + 1.0)
+    for width in (1, 5, 500, 1024):
+        for barrier in (None, 1e300):
+            observers = [] if barrier is None else [Extremes(width, times)]
+            drive(np.zeros(width), n_steps, update, observers,
+                  seeds=derive_seed(64, np.arange(width)),
+                  sample=lambda gen, out: gen.random(out=out), barrier=barrier)
+            (shape,) = shapes
+            assert shape == (width, min(rng.NOISE_CHUNK,
+                                        rng.TRIAL_CAP * rng.RETIRE_CHUNK // width))
+            assert width * shape[1] <= rng.TRIAL_CAP * rng.RETIRE_CHUNK
+            shapes.clear()
 
 
 def _retire_in_parts(monkeypatch, size):

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from saddlelab.discrete import (UrnSpec, _urn_red_counts, simulate_urn,
                                 urn_as_sgd_check, urn_final_batch)
-from saddlelab.rng import Extremes, derive_seed, make_rng
+from saddlelab.rng import RETIRE_CHUNK, TRIAL_CAP, Extremes, derive_seed, make_rng
 
 
 class TestUrnSpec:
@@ -53,12 +54,13 @@ class TestUrnDynamics:
         assert np.array_equal(vals, np.round(reds) / totals)
 
     def test_determinism_and_batch_equality(self):
-        spec = UrnSpec("power", value=2.0, red0=3, total0=7)
         seeds = [derive_seed(66, i) for i in range(5)]
-        finals = urn_final_batch(spec, 2000, seeds)
-        for i, s in enumerate(seeds):
-            run = simulate_urn(spec, 2000, s)
-            assert run.values[-1] == finals[i]
+        for spec in (UrnSpec("power", value=2.0, red0=3, total0=7),
+                     UrnSpec("identity", red0=3, total0=7)):
+            finals = urn_final_batch(spec, 2000, seeds)
+            for i, s in enumerate(seeds):
+                run = simulate_urn(spec, 2000, s)
+                assert run.values[-1] == finals[i]
 
     @pytest.mark.parametrize("value", [0.0, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("steps", [0, 1, 20_000])
@@ -73,6 +75,19 @@ class TestUrnDynamics:
         assert np.array_equal(counted, stepped)
         assert np.array_equal(urn_final_batch(spec, 5 + steps, seeds),
                               stepped / (5 + steps))
+
+    def test_state_feedback_draws_into_one_bounded_buffer(self):
+        # 1024 urns x 3,000 steps: the draw buffer is at most TRIAL_CAP x
+        # RETIRE_CHUNK doubles, not 1024 x 3,000
+        seeds = derive_seed(5, np.arange(1024))
+        tracemalloc.start()
+        try:
+            finals = urn_final_batch(UrnSpec("identity"), 3002, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all((finals > 0) & (finals < 1))
+        assert peak < 2 * TRIAL_CAP * RETIRE_CHUNK * 8
 
 
 class TestUrnAsSgd:
