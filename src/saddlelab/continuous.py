@@ -362,8 +362,10 @@ def linear_hit_zero_mc(k: float, x_s: float, s: float, t_end: float,
     # sub-block's walk increments, then the bridge uniforms of the paths
     # that stayed below b, sub-block by sub-block in path order.  A stream
     # is read as by two requests, all its normals and then all its
-    # uniforms, so the count does not depend on TRIAL_CAP; only the
-    # survivors' bridge probabilities are kept in between.
+    # uniforms, so the count does not depend on TRIAL_CAP.  In between,
+    # the bridge probabilities of a generator's surviving paths are kept:
+    # survivors x HIT_GRID doubles, up to a whole HIT_BLOCK x HIT_GRID
+    # block when almost no path crosses at a node.
     width = rng.TRIAL_CAP
     buffer = np.empty((min(width, n_paths), HIT_GRID))
     hits = 0

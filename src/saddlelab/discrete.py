@@ -30,8 +30,8 @@ import numpy as np
 
 from .continuous import Trajectory
 from .model import DriftSpec, MeanFlowFrame, drift_eval, mean_flow_h
-from .rng import (NOISE_CHUNK, TRIAL_CAP, Extremes, Record, chunk_ranges, drive,
-                  make_rng, stream_keys)
+from .rng import (NOISE_CHUNK, Extremes, Record, chunk_ranges, drive, make_rng,
+                  stream_keys)
 
 __all__ = [
     "NoiseSpec",
@@ -218,21 +218,15 @@ def _urn_red_counts(spec: UrnSpec, n_end: int, seeds, observers=()) -> np.ndarra
                 red[trial] += np.count_nonzero(buffer[:b - a] < spec.value)
         return red
 
+    # red / total and the comparison go into two arrays kept from step to
+    # step; a part of width n writes their first n entries
+    frac = np.empty(len(seeds))
+    added = np.empty(len(seeds), dtype=bool)
+
     def update(red, step, u):
-        red += u < spec.f(red / float(n0 + step))
-
-    if spec.f_kind == "identity":
-        # f(x) = x: at the width of a full part, red / total and the
-        # comparison go into two arrays kept from step to step
-        frac = np.empty(min(len(seeds), TRIAL_CAP))
-        added = np.empty(len(frac), dtype=bool)
-
-        def update(red, step, u):
-            if len(red) != len(frac):  # a narrower last part
-                red += u < red / float(n0 + step)
-                return
-            np.divide(red, float(n0 + step), out=frac)
-            red += np.less(u, frac, out=added)
+        n = len(red)
+        red += np.less(u, spec.f(np.divide(red, float(n0 + step), out=frac[:n])),
+                       out=added[:n])
 
     return drive(np.full(len(seeds), float(spec.red0)), n_end - n0, update,
                  observers, seeds=seeds, sample=_uniform)

@@ -1,6 +1,7 @@
 """Helpers shared by the test modules: plain-loop references for the EM
 integrator and the discrete recursion, a one-block reference for the
-hitting Monte Carlo, and the step a run's NonFiniteStateError names.
+hitting Monte Carlo, the step a run's NonFiniteStateError names, and the
+peak of the memory a call traces.
 
 The references step every trial with f(x) written as one expression and
 nothing done in place, so they are independent of the driver's in-place
@@ -9,6 +10,7 @@ bit.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -30,6 +32,17 @@ def first_bad_step(run, *args):
     except NonFiniteStateError as err:
         return err.step_index
     return None
+
+
+def traced_peak(run):
+    """run()'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def draw(noise, rng, n):

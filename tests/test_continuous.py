@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,20 +14,9 @@ from saddlelab.continuous import (HIT_BLOCK, HIT_GRID, BrownianPath,
 from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
 from saddlelab.rng import Record, derive_seed
 
-from helpers import em_reference, first_bad_step, hit_reference
+from helpers import em_reference, first_bad_step, hit_reference, traced_peak
 
 EXP = NoiseSchedule("exp_half")
-
-
-def traced_peak(run):
-    """run()'s result and the peak of the memory traced while it ran."""
-    tracemalloc.start()
-    try:
-        out = run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return out, peak
 
 
 def linear_spec(k, x0, t0=0.0):
@@ -505,11 +493,14 @@ class TestHitZero:
             assert linear_hit_zero_mc(0.3, x_s, 0.0, 30.0, 301, 42) == (
                 hit_reference(0.3, x_s, 0.0, 30.0, 301, 42), 301)
 
-    def test_keeps_less_than_one_block_of_draws(self):
+    @pytest.mark.parametrize("x_s, blocks", [(-1.0, 1.0), (-4.0, 1.5)])
+    def test_keeps_only_the_survivors_bridge_probabilities(self, x_s, blocks):
         # the one-block loop held a HIT_BLOCK x HIT_GRID block of normals and
-        # two copies of its survivors; only the survivors' bridge
-        # probabilities now outlive a sub-block
+        # two copies of its survivors, about three blocks from x_s = -4;
+        # only the survivors' bridge probabilities (survivors x HIT_GRID
+        # doubles) now outlive a sub-block.  About half the paths cross at
+        # a node from x_s = -1, and about 1 % from x_s = -4
         (hits, n), peak = traced_peak(
-            lambda: linear_hit_zero_mc(0.3, -1.0, 0.0, 30.0, 20_000, 3))
-        assert hits == hit_reference(0.3, -1.0, 0.0, 30.0, 20_000, 3)
-        assert peak < HIT_BLOCK * HIT_GRID * 8
+            lambda: linear_hit_zero_mc(0.3, x_s, 0.0, 30.0, 20_000, 3))
+        assert hits == hit_reference(0.3, x_s, 0.0, 30.0, 20_000, 3)
+        assert peak < blocks * HIT_BLOCK * HIT_GRID * 8

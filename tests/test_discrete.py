@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from saddlelab.discrete import (NoiseSpec, _sgd_drive, sgd_batch, simulate_sgd,
 from saddlelab.model import DriftSpec, MeanFlowFrame, mean_flow_h
 from saddlelab.rng import NOISE_CHUNK, Record, chunk_ranges, derive_seed, make_rng
 
-from helpers import draw, first_bad_step, sgd_reference
+from helpers import draw, first_bad_step, sgd_reference, traced_peak
 
 MONO = DriftSpec("monomial", 2.0, 1.0, 10.0)
 
@@ -66,14 +65,14 @@ class TestSgdRecursion:
     def test_noise_free_paths_allocate_little_beyond_the_record(self):
         # the zero increments are a broadcast view, not a trials x steps array
         seeds = [derive_seed(3, i) for i in range(4)]
-        tracemalloc.start()
-        try:
+
+        def run():
             record = Record((len(seeds),), 250_000)
             _sgd_drive(DriftSpec("monomial", 2.0), 0.9, None, -0.2, 10, 250_010,
                        seeds, [record])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return record
+
+        record, peak = traced_peak(run)
         assert peak < 1.5 * record.value.nbytes
 
     def test_rademacher_steps_have_exact_magnitude(self):

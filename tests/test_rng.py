@@ -45,8 +45,8 @@ def test_counts_do_not_depend_on_parts_or_chunks(monkeypatch):
     parted = continuous.em_batch(spec, grid, seeds, tail_start=2.5)
     for field in ("final", "max_value", "tail_abs_max"):
         assert np.array_equal(getattr(wide, field), getattr(parted, field))
-    # the identity urn's parts are narrower than its kept arrays here, so
-    # they take the one-expression update the wide run's arrays replace
+    # the urn's parts of three write the leading entries of its kept
+    # red / total and comparison arrays
     for urn, final in zip(urns, finals):
         assert np.array_equal(final, discrete.urn_final_batch(urn, 300, seeds))
 

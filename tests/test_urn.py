@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +6,8 @@ import pytest
 from saddlelab.discrete import (UrnSpec, _urn_red_counts, simulate_urn,
                                 urn_as_sgd_check, urn_final_batch)
 from saddlelab.rng import RETIRE_CHUNK, TRIAL_CAP, Extremes, derive_seed, make_rng
+
+from helpers import traced_peak
 
 
 class TestUrnSpec:
@@ -80,12 +81,8 @@ class TestUrnDynamics:
         # 1024 urns x 3,000 steps: the draw buffer is at most TRIAL_CAP x
         # RETIRE_CHUNK doubles, not 1024 x 3,000
         seeds = derive_seed(5, np.arange(1024))
-        tracemalloc.start()
-        try:
-            finals = urn_final_batch(UrnSpec("identity"), 3002, seeds)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        finals, peak = traced_peak(
+            lambda: urn_final_batch(UrnSpec("identity"), 3002, seeds))
         assert np.all((finals > 0) & (finals < 1))
         assert peak < 2 * TRIAL_CAP * RETIRE_CHUNK * 8
 
