@@ -5,9 +5,9 @@ discrete-dichotomy, urn, validate.  Options can come from a JSON config
 file (--config) with flags overriding file values; the SADDLELAB_SEED
 environment variable is the base-seed fallback when neither gives one.
 
-Every run writes a manifest JSON (config snapshot, base seed, counts,
-wall-clock, version) sufficient to reproduce it exactly: pass the manifest
-back through --config.
+Every run writes a manifest JSON (config snapshot, base seed, counts or
+the urn's results, wall-clock, version) sufficient to reproduce it
+exactly: pass the manifest back through --config.
 """
 
 from __future__ import annotations
@@ -76,17 +76,23 @@ def emit_json(rows, manifest: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def make_manifest(config: ExperimentConfig, rows, started: float) -> dict:
+def _counts(rows) -> dict:
     counts = {"converged": 0, "escaped": 0, "undecided": 0}
     for row in rows:
         counts["converged"] += row["n_converged"]
         counts["escaped"] += row["n_escaped"]
         counts["undecided"] += row["n_undecided"]
+    return counts
+
+
+def make_manifest(config: ExperimentConfig, results: dict, started: float) -> dict:
+    """The run's config snapshot and seed, its results block (a dichotomy
+    run's "counts", the urn's "urn") and its wall-clock time."""
     return {
         "artifact_version": __version__,
         "config": config.to_dict(),
         "base_seed": config.seed,
-        "counts": counts,
+        **results,
         "wall_clock_s": round(time.perf_counter() - started, 3),
     }
 
@@ -215,6 +221,7 @@ def _run_experiment_command(config: ExperimentConfig) -> int:
     if config.kind == "sweep":
         cells = phase_sweep(config)
         rows = [_cell_row(c.k, c.gamma, c.prediction, c.result) for c in cells]
+        results = {"counts": _counts(rows)}
         for cell, row in zip(cells, rows):
             flag = " [boundary]" if cell.boundary else ""
             print(f"k={cell.k:g} gamma={cell.gamma:g} -> {cell.prediction}"
@@ -222,7 +229,13 @@ def _run_experiment_command(config: ExperimentConfig) -> int:
                   f"[{row['ci_lo']:.3f}, {row['ci_hi']:.3f}]{flag}")
     elif config.kind == "urn":
         out = run_urn_experiment(config)
-        rows = []
+        results = {"urn": {
+            "final_mean": out.final_mean,
+            "final_sd": out.final_std,
+            "near_half_fraction": out.near_half_fraction,
+            "decomposition_max_gap": out.decomposition_max_gap,
+            "decomposition_first_divergence": out.decomposition_first_divergence,
+        }}
         print(f"urn f={config.urn_f} trials={out.n_trials} "
               f"final mean={out.final_mean:.5f} sd={out.final_std:.5f} "
               f"near-1/2 fraction={out.near_half_fraction:.4f} "
@@ -230,6 +243,7 @@ def _run_experiment_command(config: ExperimentConfig) -> int:
     else:
         out = run_dichotomy(config)
         rows = [_cell_row(out.k, out.gamma, out.prediction, out.result)]
+        results = {"counts": _counts(rows)}
         r = rows[0]
         print(f"k={out.k:g} gamma={out.gamma:g} -> {out.prediction} "
               f"converged={r['n_converged']} escaped={r['n_escaped']} "
@@ -237,7 +251,7 @@ def _run_experiment_command(config: ExperimentConfig) -> int:
               f"p_conv={r['p_conv']:.4f} [{r['ci_lo']:.4f}, {r['ci_hi']:.4f}]")
         if config.dump_trajectories:
             _dump_trajectories(out, out_dir)
-    manifest = make_manifest(config, rows, started)
+    manifest = make_manifest(config, results, started)
     stem = config.kind.replace("-", "_")
     with open(out_dir / f"{stem}_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)

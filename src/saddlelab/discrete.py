@@ -183,17 +183,26 @@ class UrnSpec:
         if not (0 < self.red0 < self.total0):
             raise ValueError("need 0 < red0 < total0 so X stays inside (0, 1)")
 
-    def f(self, x):
-        x = np.asarray(x, dtype=float)
+    def feedback(self):
+        """f as one callable on float arrays, resolved once per run: it
+        returns the constant itself, x itself, x ** value, or np.interp on
+        a grid and table built here."""
         if self.f_kind == "constant":
-            out = np.full_like(x, self.value)
-        elif self.f_kind == "identity":
-            out = x
-        elif self.f_kind == "power":
-            out = x ** self.value
-        else:
-            grid = np.linspace(0.0, 1.0, len(self.table))
-            out = np.interp(x, grid, np.asarray(self.table, dtype=float))
+            value = float(self.value)
+            return lambda x: value
+        if self.f_kind == "identity":
+            return lambda x: x
+        if self.f_kind == "power":
+            exponent = self.value
+            return lambda x: x ** exponent
+        grid = np.linspace(0.0, 1.0, len(self.table))
+        table = np.asarray(self.table, dtype=float)
+        return lambda x: np.interp(x, grid, table)
+
+    def f(self, x):
+        """f(x): a float for a scalar or 0-d x, else a new array like x."""
+        x = np.asarray(x, dtype=float)
+        out = np.full_like(x, self.feedback()(x))
         return out if out.ndim else float(out)
 
 
@@ -219,14 +228,20 @@ def _urn_red_counts(spec: UrnSpec, n_end: int, seeds, observers=()) -> np.ndarra
         return red
 
     # red / total and the comparison go into two arrays kept from step to
-    # step; a part of width n writes their first n entries
+    # step; a part of width n writes their first n entries, through views
+    # taken when that width first steps
+    f = spec.feedback()
     frac = np.empty(len(seeds))
     added = np.empty(len(seeds), dtype=bool)
+    views = frac, added
 
     def update(red, step, u):
-        n = len(red)
-        red += np.less(u, spec.f(np.divide(red, float(n0 + step), out=frac[:n])),
-                       out=added[:n])
+        nonlocal views
+        if len(views[0]) != len(red):
+            views = frac[:len(red)], added[:len(red)]
+        frac_n, added_n = views
+        red += np.less(u, f(np.divide(red, float(n0 + step), out=frac_n)),
+                       out=added_n)
 
     return drive(np.full(len(seeds), float(spec.red0)), n_end - n0, update,
                  observers, seeds=seeds, sample=_uniform)
@@ -267,17 +282,25 @@ def urn_as_sgd_check(spec: UrnSpec, n_end: int, seed: int,
     """Re-run the urn's uniform draws through the generic recursion
     X' += (f(X') - X')/(n+1) + g_n/(n+1) and compare pathwise."""
     n0 = spec.total0
+    if n_end < n0:
+        raise ValueError("n_end is below the starting ball count")
     steps = n_end - n0
+    f = spec.feedback()
+    # f reads X' as a 1-element array, so power feedback gets the values of
+    # numpy's array pow, as in a batch; the rest of a step runs on floats
+    arg = np.empty(1)
 
     def update(state, step, u):
         # row 0: red-ball count; row 1: the decomposed recursion X'
         total = n0 + step
-        x_dec = state[1]
-        fx = spec.f(x_dec)
-        add_red = u < fx
-        g = np.where(add_red, 1.0 - fx, -fx)
-        state[1] = x_dec + (fx - x_dec) / (total + 1) + g / (total + 1)
-        state[0] += add_red
+        x_dec = state.item(1, 0)
+        arg[0] = x_dec
+        arg[...] = f(arg)
+        fx = arg.item(0)
+        add_red = u.item(0) < fx
+        g = 1.0 - fx if add_red else -fx
+        state[1, 0] = x_dec + (fx - x_dec) / (total + 1) + g / (total + 1)
+        state[0, 0] += add_red
 
     record = Record((2, 1), steps)
     drive(np.array([[float(spec.red0)], [spec.red0 / n0]]), steps, update,

@@ -338,6 +338,7 @@ class UrnOutput:
     final_std: float
     near_half_fraction: float
     decomposition_max_gap: float
+    decomposition_first_divergence: int | None
 
 
 def run_urn_experiment(config: ExperimentConfig) -> UrnOutput:
@@ -361,4 +362,5 @@ def run_urn_experiment(config: ExperimentConfig) -> UrnOutput:
                      final_mean=float(finals.mean()),
                      final_std=float(finals.std(ddof=1)) if len(finals) > 1 else 0.0,
                      near_half_fraction=float((np.abs(finals - 0.5) < 0.05).mean()),
-                     decomposition_max_gap=audit.max_abs_gap)
+                     decomposition_max_gap=audit.max_abs_gap,
+                     decomposition_first_divergence=audit.first_divergence)

@@ -1,7 +1,8 @@
 """Helpers shared by the test modules: plain-loop references for the EM
-integrator and the discrete recursion, a one-block reference for the
-hitting Monte Carlo, the step a run's NonFiniteStateError names, and the
-peak of the memory a call traces.
+integrator, the discrete recursion and the urn's decomposition audit, the
+urn feedback written out per kind, a one-block reference for the hitting
+Monte Carlo, the step a run's NonFiniteStateError names, and the peak of
+the memory a call traces.
 
 The references step every trial with f(x) written as one expression and
 nothing done in place, so they are independent of the driver's in-place
@@ -101,3 +102,42 @@ def sgd_reference(drift, gamma, noise, x0, n0, n_end, seeds):
         x += one_expression_drift(drift, x) * h[i] + y[:, i] * h[i]
         values.append(x.copy())
     return np.array(values).T
+
+
+def urn_feedback_reference(spec, x):
+    """The urn's f(x), one expression per kind, with the table's grid built
+    on each call; a float for a scalar or 0-d x."""
+    x = np.asarray(x, dtype=float)
+    if spec.f_kind == "constant":
+        out = np.full_like(x, spec.value)
+    elif spec.f_kind == "identity":
+        out = x
+    elif spec.f_kind == "power":
+        out = x ** spec.value
+    else:
+        grid = np.linspace(0.0, 1.0, len(spec.table))
+        out = np.interp(x, grid, np.asarray(spec.table, dtype=float))
+    return out if out.ndim else float(out)
+
+
+def urn_audit_reference(spec, n_end, seed, tolerance):
+    """urn_as_sgd_check's (max_abs_gap, first_divergence) as a plain loop on
+    seed's uniforms, with the red count and X' as 1-element arrays and g
+    taken by np.where."""
+    n0 = spec.total0
+    u = make_rng(seed).random(n_end - n0)
+    red = np.array([float(spec.red0)])
+    x_dec = np.array([spec.red0 / n0])
+    reds, x_decs = [], []
+    for step, ui in enumerate(u):
+        total = n0 + step
+        fx = urn_feedback_reference(spec, x_dec)
+        add_red = ui < fx
+        g = np.where(add_red, 1.0 - fx, -fx)
+        x_dec = x_dec + (fx - x_dec) / (total + 1) + g / (total + 1)
+        red = red + add_red
+        reds.append(red[0])
+        x_decs.append(x_dec[0])
+    gap = np.abs(np.array(reds) / np.arange(n0 + 1, n_end + 1) - np.array(x_decs))
+    over = np.flatnonzero(gap > tolerance)
+    return float(gap.max(initial=0.0)), int(n0 + 1 + over[0]) if len(over) else None

@@ -311,6 +311,30 @@ class TestUrnCommand:
         manifest = json.loads((tmp_path / "urn_manifest.json").read_text())
         assert manifest["config"]["urn_f"] == "constant"
 
+    def test_manifest_records_the_urn_results(self, tmp_path, capsys):
+        # the urn has no outcome counts: its manifest holds the run's own
+        # numbers, and a run from that manifest writes the same block
+        argv = ["urn", "--urn-f", "power", "--urn-value", "1.7", "--steps", "100",
+                "--trials", "8", "--seed", "3", "--jobs", "1"]
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        printed = capsys.readouterr().out
+        manifest = json.loads((tmp_path / "a" / "urn_manifest.json").read_text())
+        assert "counts" not in manifest
+        out = experiments.run_urn_experiment(resolve_config(build_parser().parse_args(argv)))
+        assert manifest["urn"] == {
+            "final_mean": out.final_mean,
+            "final_sd": out.final_std,
+            "near_half_fraction": out.near_half_fraction,
+            "decomposition_max_gap": out.decomposition_max_gap,
+            "decomposition_first_divergence": out.decomposition_first_divergence,
+        }
+        assert (f"final mean={out.final_mean:.5f} sd={out.final_std:.5f} "
+                f"near-1/2 fraction={out.near_half_fraction:.4f}") in printed
+        assert main(["urn", "--config", str(tmp_path / "a" / "urn_manifest.json"),
+                     "--out", str(tmp_path / "b")]) == 0
+        again = json.loads((tmp_path / "b" / "urn_manifest.json").read_text())
+        assert again["urn"] == manifest["urn"]
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_dump_trajectories_is_an_error_before_any_trial(self, source, tmp_path,
                                                            capsys, monkeypatch):

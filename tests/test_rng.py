@@ -38,17 +38,23 @@ def test_counts_do_not_depend_on_parts_or_chunks(monkeypatch):
     grid = continuous.TimeGrid(1.0, 3.0, 1e-2)
     seeds = [derive_seed(12, i) for i in range(10)]
     wide = continuous.em_batch(spec, grid, seeds, tail_start=2.5)
-    urns = [discrete.UrnSpec("power", value=2.0), discrete.UrnSpec("identity")]
+    urns = [discrete.UrnSpec("power", value=2.0), discrete.UrnSpec("identity"),
+            discrete.UrnSpec("power", value=0.5),
+            discrete.UrnSpec("table", table=(0.1, 0.7, 0.2, 0.9, 0.4))]
     finals = [discrete.urn_final_batch(urn, 300, seeds) for urn in urns]
     monkeypatch.setattr(rng, "TRIAL_CAP", 3)
     monkeypatch.setattr(rng, "NOISE_CHUNK", 7)
     parted = continuous.em_batch(spec, grid, seeds, tail_start=2.5)
     for field in ("final", "max_value", "tail_abs_max"):
         assert np.array_equal(getattr(wide, field), getattr(parted, field))
-    # the urn's parts of three write the leading entries of its kept
-    # red / total and comparison arrays
+    # the urn's parts of three, and the last part of one, write the leading
+    # entries of its kept red / total and comparison arrays through views
+    # taken per width; each trial's final is its single path's, for every
+    # state-dependent feedback
     for urn, final in zip(urns, finals):
         assert np.array_equal(final, discrete.urn_final_batch(urn, 300, seeds))
+        singles = [discrete.simulate_urn(urn, 300, seed).values[-1] for seed in seeds]
+        assert np.array_equal(final, singles)
 
 
 def test_observers_see_every_step_of_every_part(monkeypatch):

@@ -7,7 +7,16 @@ from saddlelab.discrete import (UrnSpec, _urn_red_counts, simulate_urn,
                                 urn_as_sgd_check, urn_final_batch)
 from saddlelab.rng import RETIRE_CHUNK, TRIAL_CAP, Extremes, derive_seed, make_rng
 
-from helpers import traced_peak
+from helpers import traced_peak, urn_audit_reference, urn_feedback_reference
+
+# one urn per feedback kind, power at an exponent below and above 1
+FEEDBACKS = {
+    "constant": UrnSpec("constant", value=0.3, red0=2, total0=5),
+    "identity": UrnSpec("identity", red0=2, total0=5),
+    "power-0.5": UrnSpec("power", value=0.5, red0=2, total0=5),
+    "power-1.7": UrnSpec("power", value=1.7, red0=2, total0=5),
+    "table": UrnSpec("table", table=(0.1, 0.7, 0.2, 0.9, 0.4), red0=2, total0=5),
+}
 
 
 class TestUrnSpec:
@@ -29,6 +38,24 @@ class TestUrnSpec:
         assert UrnSpec("power", value=2.0).f(0.5) == 0.25
         tab = UrnSpec("table", table=(0.0, 1.0))
         assert tab.f(0.25) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("kind", sorted(FEEDBACKS))
+    def test_resolved_feedback_equals_the_expressions(self, kind):
+        # f and the callable a run resolves once give the per-kind
+        # expressions' values bit for bit (signed zeros included), and f
+        # their types: a float for scalar and 0-d input, else an array
+        spec = FEEDBACKS[kind]
+        resolved = spec.feedback()
+        arrays = [np.array([0.0, -0.0, 1e-300, 0.25, 1 / 3, 0.5, 1 - 2 ** -53, 1.0]),
+                  make_rng(3).random((4, 5)), np.empty(0)]
+        for x in arrays + [0.37, 1, np.array(0.37), [0.2, 0.8]]:
+            got, want = spec.f(x), urn_feedback_reference(spec, x)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        for x in arrays:
+            got = np.broadcast_to(resolved(x), x.shape)
+            assert got.tobytes() == urn_feedback_reference(spec, x).tobytes()
 
 
 class TestUrnDynamics:
@@ -104,6 +131,29 @@ class TestUrnAsSgd:
             rep = urn_as_sgd_check(UrnSpec("table", table=table, red0=2,
                                            total0=6), 1006, derive_seed(7, i))
             assert rep.pathwise_equal, f"diverged at {rep.first_divergence}"
+
+    @pytest.mark.parametrize("kind", sorted(FEEDBACKS))
+    def test_audit_equals_the_array_loop(self, kind):
+        # the audit steps X' on floats; the array loop's gaps and first
+        # divergence come out bit for bit, also at a tolerance of 0, where
+        # the first rounding difference is the divergence
+        spec = FEEDBACKS[kind]
+        n_end = spec.total0 + 400
+        for i in range(10):
+            seed = derive_seed(904, i)
+            for tolerance in (1e-12, 0.0):
+                rep = urn_as_sgd_check(spec, n_end, seed, tolerance)
+                assert (rep.max_abs_gap, rep.first_divergence) == urn_audit_reference(
+                    spec, n_end, seed, tolerance), (seed, tolerance)
+            assert rep.first_divergence is not None
+
+    def test_horizon_below_the_start_is_an_error(self):
+        spec = UrnSpec("identity", red0=2, total0=5)
+        with pytest.raises(ValueError, match="below the starting ball count"):
+            urn_as_sgd_check(spec, 4, 1)
+        # no draw at all: nothing to compare, nothing diverges
+        rep = urn_as_sgd_check(spec, 5, 1)
+        assert rep.max_abs_gap == 0.0 and rep.pathwise_equal
 
 
 class TestUrnStatistics:
