@@ -212,7 +212,8 @@ def estimate_probability(runners, n_trials: int, base_seeds, jobs: int = 1):
             tasks.append((block, seeds[a:a + width]))
             owners.append(cell)
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a pool starts all its workers at once, so none beyond the blocks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             outcomes = list(pool.map(_run_block_or_error, tasks))
     else:
         outcomes = [_run_block_or_error(task) for task in tasks]

@@ -189,7 +189,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     for key, value in vars(args).items():
         if key in ("command", "config", "criterion") or value is None:
             continue
-        if key in ("k_values", "gamma_values", "urn_table") and isinstance(value, str):
+        if (isinstance(getattr(ExperimentConfig, key, None), tuple)
+                and isinstance(value, str)):
             value = tuple(float(v) for v in value.split(",") if v)
         data[key] = value
         if key == "seed":
@@ -281,7 +282,7 @@ def main(argv=None) -> int:
             return _run_validate(args)
         config = resolve_config(args)
         return _run_experiment_command(config)
-    except (ValueError, FileNotFoundError, NonFiniteStateError) as exc:
+    except (ValueError, OSError, NonFiniteStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -277,12 +277,7 @@ def _branch_coefficients(k: float, regime: str, times: np.ndarray):
     lo, hi = t[:-1], t[1:]
     if regime == "negative":
         mean = np.exp(-k * (hi - lo))
-        a = 2.0 * (k - 0.5)
-        if abs(a) < 1e-12:
-            var_g = hi - lo                        # k = 1/2 limit
-        else:
-            var_g = (np.exp(a * hi) - np.exp(a * lo)) / a
-        var = np.exp(-2.0 * k * hi) * var_g
+        var = np.exp(-2.0 * k * hi) * gaussian_clock(k, lo, hi)
     elif regime == "positive":
         mean = np.exp(k * (hi - lo))
         a = 2.0 * k + 1.0
@@ -328,8 +323,9 @@ def linear_exact_batch(k: float, regime: str, x_s, s: float,
     return values, first.astype(np.int64)
 
 
-def gaussian_clock(k: float, s: float, t) -> np.ndarray:
-    """tau(t) = <G>_t for G_t = int_s^t e^{u(k-1/2)} dB_u (limit form at k=1/2)."""
+def gaussian_clock(k: float, s, t) -> np.ndarray:
+    """tau(t) = <G>_t for G_t = int_s^t e^{u(k-1/2)} dB_u (limit form at
+    k=1/2); s and t may be arrays of interval ends."""
     t = np.asarray(t, dtype=float)
     a = 2.0 * (k - 0.5)
     if abs(a) < 1e-12:

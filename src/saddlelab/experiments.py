@@ -66,15 +66,15 @@ def _counted(runner, stats, record):
 
 @dataclass(frozen=True)
 class ContinuousDichotomyRunner:
-    """EM trials of one SDE instance, classified from their running stats.
+    """EM trials of one SDE instance on its grid, classified from their
+    running stats.
 
     A call returns (outcomes, paths).  With a positive dump the first dump
     trials are stepped to the horizon and recorded by the same run,
     paths[i] holding every grid state of trial i; else paths is None."""
 
     spec: ProcessSpec
-    t_end: float
-    dt: float
+    grid: cont.TimeGrid
     cfg: ClassifierConfig
     dump: int = 0
 
@@ -82,15 +82,11 @@ class ContinuousDichotomyRunner:
     def model(self) -> str:
         return self.spec.drift.family
 
-    @property
-    def grid(self) -> cont.TimeGrid:
-        return cont.TimeGrid(self.spec.t0, self.t_end, self.dt)
-
     def __call__(self, seeds):
         grid = self.grid
         record = _head_record(self, seeds, grid.n_steps)
         stats = cont.em_batch(self.spec, grid, seeds,
-                              tail_start=self.cfg.tail_start(self.spec.t0, self.t_end),
+                              tail_start=self.cfg.tail_start(grid.t0, grid.t_end),
                               barrier=self.cfg.barrier, record=record)
         return _counted(self, stats, record)
 
@@ -162,11 +158,7 @@ class ExperimentConfig:
     jobs: int = 1
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["k_values"] = list(self.k_values)
-        d["gamma_values"] = list(self.gamma_values)
-        d["urn_table"] = list(self.urn_table)
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -215,7 +207,6 @@ def _type_mismatch(default, value) -> str | None:
 
 @dataclass(eq=False)
 class DichotomyOutput:
-    config: ExperimentConfig
     runner: ContinuousDichotomyRunner | DiscreteDichotomyRunner
     result: MCResult
     k: float
@@ -245,9 +236,10 @@ def _classifier(config: ExperimentConfig, t0: float, t_end: float,
 
 
 def _build_runner(config: ExperimentConfig, k: float, gamma: float):
-    """The runner of one cell: its model's spec, hypotheses and classifier.
-    Each spec is built before the classifier, so DriftSpec's k bound is
-    the one that rejects k."""
+    """The runner of one cell: its model's spec, hypotheses, grid and
+    classifier.  Each spec is built first, so DriftSpec's k bound is the
+    one that rejects k; an SDE cell's grid comes next, so a bad dt or
+    horizon is rejected before any trial runs."""
     kind = _runner_kind(config)
     if kind == "discrete":
         drift = DriftSpec("monomial", k, config.c, config.cap)
@@ -264,14 +256,12 @@ def _build_runner(config: ExperimentConfig, k: float, gamma: float):
         spec = ProcessSpec(DriftSpec("linear", k), NoiseSchedule("exp_half"),
                            t0=config.t0, x0=config.x0)
         if k >= 0.5:
-            cfg = _classifier(config, config.t0, config.horizon, abs(config.x0),
-                              lambda barrier, _: barrier / 100.0)
+            default_barrier, band = (abs(config.x0),
+                                     lambda barrier, _: barrier / 100.0)
         else:
             sigma_inf = math.sqrt(1.0 / (1.0 - 2.0 * k))
-            cfg = _classifier(config, config.t0, config.horizon, 3.0,
-                              lambda barrier, t_tail: min(
-                                  3.0 * sigma_inf * math.exp(-k * t_tail),
-                                  0.9 * barrier))
+            default_barrier, band = 3.0, lambda barrier, t_tail: min(
+                3.0 * sigma_inf * math.exp(-k * t_tail), 0.9 * barrier)
     else:
         drift = DriftSpec("monomial", k, config.c, config.cap)
         if not 0.5 < gamma < 1.0:
@@ -281,11 +271,12 @@ def _build_runner(config: ExperimentConfig, k: float, gamma: float):
         schedule = NoiseSchedule("power_gamma" if config.raw_frame
                                  else "power_transformed", gamma)
         spec = ProcessSpec(drift, schedule, t0=config.t0, x0=config.x0)
-        cfg = _classifier(config, config.t0, config.horizon, 3.0,
-                          lambda _, t_tail: min(2.5 * t_tail ** (1.0 / (1.0 - k)),
-                                                0.1))
-    return ContinuousDichotomyRunner(spec=spec, t_end=config.horizon,
-                                     dt=config.dt, cfg=cfg)
+        default_barrier, band = 3.0, lambda _, t_tail: min(
+            2.5 * t_tail ** (1.0 / (1.0 - k)), 0.1)
+    grid = cont.TimeGrid(config.t0, config.horizon, config.dt)
+    return ContinuousDichotomyRunner(
+        spec=spec, grid=grid,
+        cfg=_classifier(config, grid.t0, grid.t_end, default_barrier, band))
 
 
 def _run_cells(config: ExperimentConfig, cells, seeds,
@@ -296,7 +287,7 @@ def _run_cells(config: ExperimentConfig, cells, seeds,
     runners = [dataclasses.replace(_build_runner(config, k, gamma), dump=dump)
                for k, gamma in cells]
     results = estimate_probability(runners, config.trials, seeds, jobs=config.jobs)
-    return [DichotomyOutput(config, runner, result, k, gamma,
+    return [DichotomyOutput(runner, result, k, gamma,
                             *predict_regime(runner.model, k, gamma))
             for (k, gamma), runner, result in zip(cells, runners, results)]
 
@@ -331,8 +322,6 @@ def phase_sweep(config: ExperimentConfig) -> list[DichotomyOutput]:
 
 @dataclass(eq=False)
 class UrnOutput:
-    config: ExperimentConfig
-    spec: disc.UrnSpec
     n_trials: int
     final_mean: float
     final_std: float
@@ -358,7 +347,7 @@ def run_urn_experiment(config: ExperimentConfig) -> UrnOutput:
     finals = disc.urn_final_batch(spec, n_end, seeds)
     audit = disc.urn_as_sgd_check(spec, min(n_end, config.urn_total0 + 1000),
                                   seeds[0])
-    return UrnOutput(config=config, spec=spec, n_trials=config.trials,
+    return UrnOutput(n_trials=config.trials,
                      final_mean=float(finals.mean()),
                      final_std=float(finals.std(ddof=1)) if len(finals) > 1 else 0.0,
                      near_half_fraction=float((np.abs(finals - 0.5) < 0.05).mean()),

@@ -1,8 +1,8 @@
 """Helpers shared by the test modules: plain-loop references for the EM
 integrator, the discrete recursion and the urn's decomposition audit, the
 urn feedback written out per kind, a one-block reference for the hitting
-Monte Carlo, the step a run's NonFiniteStateError names, and the peak of
-the memory a call traces.
+Monte Carlo, the step a run's NonFiniteStateError names, the peak of the
+memory a call traces, and a pool stand-in that starts no process.
 
 The references step every trial with f(x) written as one expression and
 nothing done in place, so they are independent of the driver's in-place
@@ -141,3 +141,20 @@ def urn_audit_reference(spec, n_end, seed, tolerance):
     gap = np.abs(np.array(reds) / np.arange(n0 + 1, n_end + 1) - np.array(x_decs))
     over = np.flatnonzero(gap > tolerance)
     return float(gap.max(initial=0.0)), int(n0 + 1 + over[0]) if len(over) else None
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records each pool's max_workers in
+    `sizes` and maps in this process, so no worker starts."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)

@@ -1,9 +1,11 @@
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from saddlelab import analysis
 from saddlelab.analysis import (ClassifierConfig, MCResult, Outcome, block_width,
                                 classify, classify_stats, estimate_probability,
                                 moment_compare, never_return_alpha,
@@ -13,6 +15,8 @@ from saddlelab.continuous import (BrownianPath, TimeGrid, Trajectory,
                                   em_batch, simulate_em)
 from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec, predict_regime
 from saddlelab.rng import Extremes, NonFiniteStateError, derive_seed, make_rng
+
+from helpers import SerialPool
 
 CFG = ClassifierConfig(eps_conv=0.05, barrier=3.0, tail_fraction=0.2)
 
@@ -233,6 +237,21 @@ class TestEstimateProbability:
         with pytest.raises(NonFiniteStateError) as err:
             estimate_probability([FailingStub()], 2000, [13], jobs=jobs)
         assert err.value.step_index == min(steps)
+
+    @pytest.mark.parametrize("n_cells, n_trials, jobs, pool", [
+        (1, 5, 64, 5),       # five one-trial blocks: five workers, not 64
+        (4, 1024, 2, 2),     # a sweep's four 1024-trial blocks at two jobs
+        (2, 600, 8, 8),      # 2 x 600 trials in eight 150-trial blocks
+    ])
+    def test_pool_no_larger_than_its_blocks(self, monkeypatch, n_cells,
+                                            n_trials, jobs, pool):
+        runners, seeds = [StubRunner()] * n_cells, list(range(n_cells))
+        serial = estimate_probability(runners, n_trials, seeds)
+        sizes = []
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor",
+                            functools.partial(SerialPool, sizes))
+        assert estimate_probability(runners, n_trials, seeds, jobs=jobs) == serial
+        assert sizes == [pool]
 
     def test_block_width(self):
         # one block per worker, as wide as the cap allows

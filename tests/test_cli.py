@@ -358,6 +358,22 @@ class TestUrnCommand:
 
 
 class TestErrorPaths:
+    def test_config_directory_is_an_error_line(self, tmp_path, capsys):
+        rc = main(["simulate", "--config", str(tmp_path), "--trials", "2",
+                   "--jobs", "1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_out_naming_a_file_is_an_error_line(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.touch()
+        rc = main(["simulate", "--trials", "2", "--jobs", "1",
+                   "--out", str(taken)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_config_names_path(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.json")])
         assert rc != 0
@@ -459,6 +475,17 @@ class TestErrorPaths:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err == "error: need at least one trial\n"
+
+
+class TestListFlags:
+    @pytest.mark.parametrize("argv, key, expected", [
+        (["sweep", "--k-values", "1.5,3"], "k_values", (1.5, 3.0)),
+        (["sweep", "--gamma-values", "0.6,"], "gamma_values", (0.6,)),
+        (["urn", "--urn-table", "0.2,0.5,0.8"], "urn_table", (0.2, 0.5, 0.8)),
+    ])
+    def test_comma_string_becomes_a_tuple(self, argv, key, expected):
+        config = resolve_config(build_parser().parse_args(argv + ["--jobs", "1"]))
+        assert getattr(config, key) == expected
 
 
 class TestJobsDefault:

@@ -444,6 +444,29 @@ class TestLinearExact:
         assert values[0, idx] >= 0.0
         assert np.all(values[0, :idx] < 0.0)
 
+    @pytest.mark.parametrize("k", [0.3, 0.5, 0.5 + 1e-13, 0.8, 2.0])
+    def test_negative_branch_matches_written_out_variance(self, k):
+        # the branch's mean factor and integrated variance written out here,
+        # independently of gaussian_clock, with its k = 1/2 limit
+        times = np.linspace(0.25, 3.0, 12)
+        full = np.concatenate(([0.0], times))
+        lo, hi = full[:-1], full[1:]
+        a = 2.0 * (k - 0.5)
+        if abs(a) < 1e-12:
+            var_g = hi - lo
+        else:
+            var_g = (np.exp(a * hi) - np.exp(a * lo)) / a
+        mean = np.exp(-k * (hi - lo))
+        std = np.sqrt(np.maximum(np.exp(-2.0 * k * hi) * var_g, 0.0))
+        gen = rng.make_rng(5)
+        x = np.full(8, -0.5)
+        expected = np.empty((8, len(times)))
+        for j in range(len(times)):
+            x = mean[j] * x + std[j] * gen.standard_normal(8)
+            expected[:, j] = x
+        values, _ = linear_exact_batch(k, "negative", -0.5, 0.0, times, 8, 5)
+        assert np.array_equal(values, expected)
+
     def test_monotone_time_validation(self):
         with pytest.raises(ValueError):
             linear_exact_batch(0.3, "negative", -1.0, 0.0, [2.0, 1.0], 10, 0)

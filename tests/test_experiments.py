@@ -1,15 +1,20 @@
 import dataclasses
+import functools
 import math
 
 import pytest
 
+from saddlelab import analysis
 from saddlelab.analysis import ClassifierConfig, Outcome, classify
+from saddlelab.continuous import TimeGrid
 from saddlelab.discrete import NoiseSpec, simulate_sgd
 from saddlelab.experiments import (ContinuousDichotomyRunner,
                                    DiscreteDichotomyRunner, ExperimentConfig,
                                    _build_runner, phase_sweep, run_dichotomy)
 from saddlelab.model import DriftSpec
 from saddlelab.rng import derive_seed
+
+from helpers import SerialPool
 
 
 def classifier(kind, k, gamma=0.9, **fields):
@@ -126,10 +131,27 @@ class TestRunners:
                                   t0=0.0, horizon=4.0, dt=1e-2)
         runner = _build_runner(config, 0.8, config.gamma)
         assert isinstance(runner, ContinuousDichotomyRunner)
+        assert runner.grid == TimeGrid(0.0, 4.0, 1e-2)
         outcomes, paths = runner([derive_seed(1, i) for i in range(16)])
         assert paths is None
         assert len(outcomes) == 16
         assert all(isinstance(oc, Outcome) for oc in outcomes)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("dt", 0.0, "dt must be positive"),
+        ("horizon", 1.0, "t_end must exceed t0"),
+    ])
+    def test_bad_grid_rejected_before_any_pool(self, monkeypatch, field,
+                                               value, message):
+        sizes = []
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor",
+                            functools.partial(SerialPool, sizes))
+        config = dataclasses.replace(ExperimentConfig(
+            kind="monomial-dichotomy", trials=4, jobs=2, horizon=5.0, dt=0.1),
+            **{field: value})
+        with pytest.raises(ValueError, match=message):
+            run_dichotomy(config)
+        assert sizes == []
 
     def test_discrete_runner_outcomes(self):
         config = ExperimentConfig(kind="discrete-dichotomy", n0=10, steps=2000)
