@@ -10,15 +10,20 @@ band and barrier are set from the regime's own scales:
   O(sigma_inf) Gaussian prefactor, so the band is 3 sigma_inf e^{-k t_tail}
   and the barrier stays at the global default, far outside any
   still-converging path's range.
-* monomial (continuous) and the discrete recursion: converging paths track
-  the mean flow, so the band is a small multiple of |h(tail start)|,
+* monomial (continuous): converging paths track the mean flow, so the band
+  is 2.5 |h(tail start)| with h(t) = t^(1/(1-k)) on the transformed clock,
   clipped at 0.1 to stay well under the barrier.
+* the discrete recursion: the band is 3 (1-gamma) n^-(1-gamma) at the tail
+  start, clipped at 0.1.  That is the k = 2 mean-flow scale, and it is used
+  for every k; the k >= 3 flow decays more slowly than it.
 
 An explicit eps_conv or barrier in the config overrides either default.
 
 A single dichotomy run is a one-cell sweep: run_dichotomy and phase_sweep
 both build one runner per (k, gamma) cell and count every cell's trials
-in one estimate_probability call.
+in one estimate_probability call.  That call gets the cells predicted to
+converge first, since their trials run to the horizon while escaping
+trials retire at the barrier; the outputs come back in cell order.
 
 Experiment runners are plain frozen dataclasses mapping a block of trial
 seeds to (outcomes, paths), so they pickle cleanly onto worker processes.
@@ -281,15 +286,27 @@ def _build_runner(config: ExperimentConfig, k: float, gamma: float):
 
 def _run_cells(config: ExperimentConfig, cells, seeds,
                dump: int = 0) -> list[DichotomyOutput]:
-    """One DichotomyOutput per (k, gamma) cell, cell i on base seed seeds[i];
-    every cell's trials run in one estimate_probability call, on one pool,
-    which records the first `dump` trials of each cell (result.paths)."""
+    """One DichotomyOutput per (k, gamma) cell, in cell order, cell i on base
+    seed seeds[i]; every cell's trials run in one estimate_probability call,
+    on one pool, which records the first `dump` trials of each cell
+    (result.paths).
+
+    The cells predicted to converge are handed to the pool first, in cell
+    order, then the rest: their trials run to the horizon while escaping
+    trials retire at the barrier, so the costliest blocks start first and
+    the workers finish closer together.  Each cell keeps its runner and
+    seed, so no count depends on the order."""
     runners = [dataclasses.replace(_build_runner(config, k, gamma), dump=dump)
                for k, gamma in cells]
-    results = estimate_probability(runners, config.trials, seeds, jobs=config.jobs)
-    return [DichotomyOutput(runner, result, k, gamma,
-                            *predict_regime(runner.model, k, gamma))
-            for (k, gamma), runner, result in zip(cells, runners, results)]
+    predictions = [predict_regime(runner.model, k, gamma)
+                   for (k, gamma), runner in zip(cells, runners)]
+    order = sorted(range(len(cells)),
+                   key=lambda i: predictions[i][0] != "convergence")
+    results = estimate_probability([runners[i] for i in order], config.trials,
+                                   [seeds[i] for i in order], jobs=config.jobs)
+    by_cell = dict(zip(order, results))
+    return [DichotomyOutput(runners[i], by_cell[i], k, gamma, *predictions[i])
+            for i, (k, gamma) in enumerate(cells)]
 
 
 def run_dichotomy(config: ExperimentConfig) -> DichotomyOutput:
@@ -307,8 +324,10 @@ def phase_sweep(config: ExperimentConfig) -> list[DichotomyOutput]:
     gamma.
 
     Cell seeds derive from (base seed, cell index), so the table is
-    reproducible cell-by-cell and independent of worker count.  A sweep
-    records no paths, so it rejects dump_trajectories.
+    reproducible cell-by-cell and independent of worker count and of the
+    order in which _run_cells hands the cells to the pool (predicted
+    convergent cells first).  A sweep records no paths, so it rejects
+    dump_trajectories.
     """
     if config.dump_trajectories:
         raise ValueError("dump_trajectories records the paths of a single "

@@ -145,10 +145,13 @@ def urn_audit_reference(spec, n_end, seed, tolerance):
 
 class SerialPool:
     """Stands in for ProcessPoolExecutor: records each pool's max_workers in
-    `sizes` and maps in this process, so no worker starts."""
+    `sizes` and, given a `runners` list, appends to it the runner of each
+    task it is handed, in order; maps in this process, so no worker
+    starts."""
 
-    def __init__(self, sizes, max_workers):
+    def __init__(self, sizes, max_workers, runners=None):
         sizes.append(max_workers)
+        self.runners = runners
 
     def __enter__(self):
         return self
@@ -156,5 +159,8 @@ class SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        if self.runners is not None:
+            self.runners.extend(runner for runner, _ in tasks)
+        return map(fn, tasks)

@@ -215,6 +215,33 @@ class TestPhaseSweep:
             dataclasses.replace(config, jobs=jobs))] for jobs in (1, 2, 3)]
         assert counts[0] == counts[1] == counts[2]
 
+    @pytest.mark.parametrize("fields, dispatched", [
+        # gamma_tilde is 0.75 at k = 2 and 2/3 at k = 3: gamma = 0.9 converges
+        (dict(model="continuous", k_values=(2.0, 3.0), gamma_values=(0.6, 0.9),
+              horizon=5.0, dt=1e-2), [1, 3, 0, 2]),
+        (dict(model="discrete", k_values=(2.0,), gamma_values=(0.6, 0.9),
+              steps=200), [1, 0]),
+    ])
+    def test_convergent_cells_dispatched_first(self, monkeypatch, fields,
+                                               dispatched):
+        config = ExperimentConfig(kind="sweep", trials=8, seed=3, **fields)
+        serial = phase_sweep(config)
+        sizes, handed = [], []
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor",
+                            functools.partial(SerialPool, sizes, runners=handed))
+        cells = phase_sweep(dataclasses.replace(config, jobs=2))
+        # one block per cell, the predicted-convergent cells' first
+        assert [[c.runner for c in cells].index(r) for r in handed] == dispatched
+        assert [cells[i].prediction for i in dispatched] == sorted(
+            (c.prediction for c in cells), key=lambda p: p != "convergence")
+        # outputs stay row-major, each cell on its own seed
+        assert [(c.k, c.gamma) for c in cells] == [
+            (k, g) for k in config.k_values for g in config.gamma_values]
+        assert [(c.result.counts, c.result.base_seed) for c in cells] == \
+            [(c.result.counts, c.result.base_seed) for c in serial]
+        assert [c.result.base_seed for c in cells] == [
+            int(derive_seed(3, i)) for i in range(len(cells))]
+
     def test_cell_seeds_differ(self):
         config = ExperimentConfig(kind="sweep", model="continuous",
                                   k_values=(2.0,), gamma_values=(0.6, 0.9),
