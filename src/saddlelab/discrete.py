@@ -279,34 +279,30 @@ class UrnSgdReport:
 
 def urn_as_sgd_check(spec: UrnSpec, n_end: int, seed: int,
                      tolerance: float = 1e-12) -> UrnSgdReport:
-    """Re-run the urn's uniform draws through the generic recursion
-    X' += (f(X') - X')/(n+1) + g_n/(n+1) and compare pathwise."""
+    """Step the urn and the recursion X' += (f(X') - X')/(n+1) + g_n/(n+1)
+    together on the urn's own uniforms (seed's stream, the same however it
+    is cut into draws) and compare X' with red/total pathwise."""
     n0 = spec.total0
     if n_end < n0:
         raise ValueError("n_end is below the starting ball count")
-    steps = n_end - n0
     f = spec.feedback()
     # f reads X' as a 1-element array, so power feedback gets the values of
     # numpy's array pow, as in a batch; the rest of a step runs on floats
     arg = np.empty(1)
-
-    def update(state, step, u):
-        # row 0: red-ball count; row 1: the decomposed recursion X'
+    red, x_dec = float(spec.red0), spec.red0 / n0
+    reds, x_decs = [], []
+    for step, u in enumerate(make_rng(seed).random(n_end - n0).tolist()):
         total = n0 + step
-        x_dec = state.item(1, 0)
         arg[0] = x_dec
         arg[...] = f(arg)
         fx = arg.item(0)
-        add_red = u.item(0) < fx
+        add_red = u < fx
         g = 1.0 - fx if add_red else -fx
-        state[1, 0] = x_dec + (fx - x_dec) / (total + 1) + g / (total + 1)
-        state[0, 0] += add_red
-
-    record = Record((2, 1), steps)
-    drive(np.array([[float(spec.red0)], [spec.red0 / n0]]), steps, update,
-          [record], seeds=[seed], sample=_uniform)
-    red, x_dec = record.value[:, 0, 1:]
-    gap = np.abs(red / np.arange(n0 + 1, n_end + 1) - x_dec)
+        x_dec = x_dec + (fx - x_dec) / (total + 1) + g / (total + 1)
+        red += add_red
+        reds.append(red)
+        x_decs.append(x_dec)
+    gap = np.abs(np.array(reds) / np.arange(n0 + 1, n_end + 1) - np.array(x_decs))
     over = np.flatnonzero(gap > tolerance)
     return UrnSgdReport(max_abs_gap=float(gap.max(initial=0.0)),
                         first_divergence=int(n0 + 1 + over[0]) if len(over) else None)

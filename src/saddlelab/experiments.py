@@ -19,9 +19,10 @@ band and barrier are set from the regime's own scales:
 
 An explicit eps_conv or barrier in the config overrides either default.
 
-A single dichotomy run is a one-cell sweep: run_dichotomy and phase_sweep
-both build one runner per (k, gamma) cell and count every cell's trials
-in one estimate_probability call.  That call gets the cells predicted to
+A single dichotomy run is a one-cell sweep: run_dichotomy, phase_sweep and
+acceptance criterion 4 all go through _run_cells, which builds one runner
+per (k, gamma) cell and counts every cell's trials in one
+estimate_probability call.  That call gets the cells predicted to
 converge first, since their trials run to the horizon while escaping
 trials retire at the barrier; the outputs come back in cell order.
 

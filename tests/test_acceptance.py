@@ -4,8 +4,13 @@ that moves any count fails here and not only in the benchmark pins."""
 
 import pytest
 
-from saddlelab.acceptance import (CRITERIA, criterion_10_reproducibility,
-                                  run_criterion)
+from saddlelab import experiments
+from saddlelab.acceptance import (BASE_SEED, CRITERIA,
+                                  criterion_4_monomial_phase_flip,
+                                  criterion_10_reproducibility, run_criterion)
+from saddlelab.analysis import MCResult, Outcome
+from saddlelab.model import predict_regime
+from saddlelab.rng import derive_seed
 
 # each criterion's detail at BASE_SEED; criterion 5's ends at "; runtime",
 # the only wall-clock part of a detail
@@ -56,3 +61,37 @@ def test_reproducibility_criterion_prints_nothing(capsys):
     passed, _ = criterion_10_reproducibility()
     assert passed
     assert capsys.readouterr().out == ""
+
+
+def test_phase_flip_criterion_runs_one_sweep(monkeypatch):
+    # criterion 4's four cells share one estimate_probability call, so one
+    # pool; each cell keeps its own seed.  The recorder runs no trial: a
+    # cell predicted convergent converges in every trial, the others escape
+    calls = []
+
+    def record(runners, n_trials, base_seeds, jobs=1):
+        calls.append((list(runners), [int(seed) for seed in base_seeds]))
+        results = []
+        for runner, seed in zip(runners, base_seeds):
+            spec = runner.spec
+            regime, _ = predict_regime(runner.model, spec.drift.k,
+                                       spec.noise.gamma)
+            outcome = (Outcome.CONVERGED if regime == "convergence"
+                       else Outcome.ESCAPED)
+            results.append(MCResult(n_trials=n_trials,
+                                    counts={outcome: n_trials},
+                                    base_seed=int(seed)))
+        return results
+
+    monkeypatch.setattr(experiments, "estimate_probability", record)
+    passed, detail = criterion_4_monomial_phase_flip()
+    assert len(calls) == 1
+    runners, seeds = calls[0]
+    assert len(runners) == 4
+    # every cell on its own seed, whatever order the pool gets them in
+    cells = [(2.0, 0.6), (2.0, 0.9), (3.0, 0.55), (3.0, 0.85)]
+    assert {seed: (runner.spec.drift.k, runner.spec.noise.gamma)
+            for runner, seed in zip(runners, seeds)} == {
+        derive_seed(BASE_SEED, int(k * 100), int(gamma * 100)): (k, gamma)
+        for k, gamma in cells}
+    assert passed, detail
