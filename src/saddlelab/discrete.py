@@ -78,12 +78,23 @@ class NoiseSpec:
     def fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Write the next len(out) values of rng's noise stream into out, in
         place and bit for bit as (2 B - 1) M for fair bits B, or as
-        rng.uniform(-M, M), which computes -M + 2M u."""
+        rng.uniform(-M, M), which computes -M + 2M u.
+
+        B is the bit rng.integers(0, 2) draws.  That call and a float32
+        uniform each take one 32-bit half of PCG64's output per value, in
+        the same order, and both take first the half an odd-length request
+        left buffered.  integers keeps the half's top bit (Lemire's
+        multiply-shift by 2), and the float32 uniform (half >> 8) 2^-24 is
+        at least 1/2 exactly when that bit is set; the uniform is the
+        cheaper call.  Reading PCG64's raw words would be cheaper still,
+        but a draw that bypasses the Generator's methods is one that a
+        tracer wrapping them cannot count."""
         if self.family == RADEMACHER:
-            out[:] = rng.integers(0, 2, size=len(out))
+            out[:] = rng.random(len(out), dtype=np.float32) >= 0.5
             out *= 2.0
             out -= 1.0
-            out *= self.M
+            if self.M != 1.0:  # v * 1.0 == v
+                out *= self.M
         else:
             rng.random(out=out)
             out *= 2.0 * self.M

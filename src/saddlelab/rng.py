@@ -422,9 +422,11 @@ class Record:
         self.value = np.empty(tuple(shape) + (n_steps + 1,))
 
     def begin(self, x, part):
-        self._view = self.value[..., part, :]
-        self._head = self._view.shape[-2]
-        self._view[..., 0] = x[..., :self._head]
+        view = self.value[..., part, :]
+        self._head = view.shape[-2]
+        # step-major: one step's states are one row, written by an int index
+        self._steps = np.moveaxis(view, -1, 0)
+        self._steps[0] = x[..., :self._head]
 
     def step(self, x, index):
-        self._view[..., index] = x[..., :self._head]
+        self._steps[index] = x[..., :self._head]

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 
 import numpy as np
@@ -32,6 +33,17 @@ def test_streams_do_not_depend_on_chunk_size(name):
         assert np.array_equal(whole, np.concatenate(pieces)), chunk
 
 
+SGD_DRIFT = DriftSpec("monomial", 3.0)
+
+
+def _recorded_sgd_batch(noise, seeds):
+    """sgd_batch over 300 steps with a Record of the leading four trials."""
+    record = Record((4,), 300)
+    stats = discrete.sgd_batch(SGD_DRIFT, 0.7, noise, -0.2, 10, 310, seeds,
+                               tail_start=200.0, record=record)
+    return stats, record
+
+
 def test_counts_do_not_depend_on_parts_or_chunks(monkeypatch):
     spec = ProcessSpec(DriftSpec("monomial", 3.0),
                        NoiseSchedule("power_transformed", 0.7), t0=1.0, x0=-0.2)
@@ -42,11 +54,24 @@ def test_counts_do_not_depend_on_parts_or_chunks(monkeypatch):
             discrete.UrnSpec("power", value=0.5),
             discrete.UrnSpec("table", table=(0.1, 0.7, 0.2, 0.9, 0.4))]
     finals = [discrete.urn_final_batch(urn, 300, seeds) for urn in urns]
+    noises = [discrete.NoiseSpec("rademacher"), discrete.NoiseSpec("uniform_centered", 0.7)]
+    sgd_wide = [_recorded_sgd_batch(noise, seeds) for noise in noises]
     monkeypatch.setattr(rng, "TRIAL_CAP", 3)
     monkeypatch.setattr(rng, "NOISE_CHUNK", 7)
     parted = continuous.em_batch(spec, grid, seeds, tail_start=2.5)
     for field in ("final", "max_value", "tail_abs_max"):
         assert np.array_equal(getattr(wide, field), getattr(parted, field))
+    # the recursion's noise fills odd 7-step chunks, so a Rademacher fill
+    # starts on a buffered half; the record's four rows span two parts and
+    # are written step-major through per-part views
+    for noise, (stats, record) in zip(noises, sgd_wide):
+        parted_stats, parted_record = _recorded_sgd_batch(noise, seeds)
+        for field in ("final", "max_value", "tail_abs_max"):
+            assert np.array_equal(getattr(stats, field), getattr(parted_stats, field))
+        assert np.array_equal(record.value, parted_record.value)
+        for row, seed in zip(parted_record.value, seeds):
+            single = discrete.simulate_sgd(SGD_DRIFT, 0.7, noise, -0.2, 10, 310, seed)
+            assert np.array_equal(row, single.values)
     # the urn's parts of three, and the last part of one, write the leading
     # entries of its kept red / total and comparison arrays through views
     # taken per width; each trial's final is its single path's, for every
@@ -118,26 +143,60 @@ def test_non_finite_error_survives_pickling():
     assert str(err) == str(NonFiniteStateError(9217))
 
 
-@pytest.mark.parametrize("draw, reference", [
-    (continuous._standard_normal, lambda gen, size: gen.standard_normal(size)),
-    (discrete._uniform, lambda gen, size: gen.random(size)),
-    (discrete.NoiseSpec("rademacher", 0.7).fill,
-     lambda gen, size: (2.0 * gen.integers(0, 2, size=size) - 1.0) * 0.7),
-    (discrete.NoiseSpec("uniform_centered", 0.7).fill,
-     lambda gen, size: gen.uniform(-0.7, 0.7, size=size)),
-], ids=["standard_normal", "random", "rademacher", "uniform_centered"])
-def test_drawing_into_the_buffer_gives_the_same_stream(draw, reference):
+def _irregular_ranges(n, lengths=(1, 2, 3, 8, 777, 1000, 8192)):
+    """(start, stop) pairs covering range(n) in the given lengths, cycled."""
+    start = 0
+    for length in itertools.cycle(lengths):
+        if start >= n:
+            return
+        stop = min(start + length, n)
+        yield start, stop
+        start = stop
+
+
+# drive's samplers: name -> (sampler writing into out, the sized request
+# it must match)
+FILLS = {
+    "standard_normal": (continuous._standard_normal,
+                        lambda gen, size: gen.standard_normal(size)),
+    "random": (discrete._uniform, lambda gen, size: gen.random(size)),
+    "rademacher": (discrete.NoiseSpec("rademacher", 0.7).fill,
+                   lambda gen, size: (2.0 * gen.integers(0, 2, size=size) - 1.0) * 0.7),
+    "rademacher_M1": (discrete.NoiseSpec("rademacher", 1.0).fill,
+                      lambda gen, size: (2.0 * gen.integers(0, 2, size=size) - 1.0) * 1.0),
+    "uniform_centered": (discrete.NoiseSpec("uniform_centered", 0.7).fill,
+                         lambda gen, size: gen.uniform(-0.7, 0.7, size=size)),
+}
+BUFFERED = "_half_buffered"
+
+
+@pytest.mark.parametrize("name", [*FILLS, *(name + BUFFERED for name in FILLS)])
+def test_drawing_into_the_buffer_gives_the_same_stream(name):
     # drive's samplers write into a row of its buffer (out=); the stream must
     # be the one a sized request draws, however it is cut; the noise families
     # are checked against the expressions they drew with before they wrote
-    # in place
-    whole = reference(make_rng(derive_seed(3, 2)), 20_000)
-    for chunk in (8192, 1000, 777, 1):
+    # in place.  An odd integers request leaves half of a PCG64 word
+    # buffered, which the next 32-bit draw takes first; the fills must take
+    # it too, on odd cuts as on even ones, and leave the same half behind
+    draw, reference = FILLS[name.removesuffix(BUFFERED)]
+
+    def start():
         gen = make_rng(derive_seed(3, 2))
+        if name.endswith(BUFFERED):
+            gen.integers(0, 2, size=3)
+        return gen
+
+    whole_gen = start()
+    whole = reference(whole_gen, 20_000)
+    after = whole_gen.integers(0, 2, size=5)
+    cuts = [(chunk, chunk_ranges(20_000, chunk)) for chunk in (8192, 1000, 777, 1)]
+    for chunk, ranges in cuts + [("irregular", _irregular_ranges(20_000))]:
+        gen = start()
         out = np.empty(20_000)
-        for a, b in chunk_ranges(20_000, chunk):
+        for a, b in ranges:
             draw(gen, out[a:b])
         assert np.array_equal(whole, out), chunk
+        assert np.array_equal(after, gen.integers(0, 2, size=5)), chunk
 
 
 def _seed_sequence_key(base, *indices) -> int:
