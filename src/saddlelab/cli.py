@@ -6,8 +6,9 @@ file (--config) with flags overriding file values; the SADDLELAB_SEED
 environment variable is the base-seed fallback when neither gives one.
 
 Every run writes a manifest JSON (config snapshot, base seed, counts or
-the urn's results, wall-clock, version) sufficient to reproduce it
-exactly: pass the manifest back through --config.
+the urn's results, wall-clock, version, and the Python and numpy versions
+it ran on) sufficient to reproduce it exactly: pass the manifest back
+through --config.
 """
 
 from __future__ import annotations
@@ -87,13 +88,16 @@ def _counts(rows) -> dict:
 
 def make_manifest(config: ExperimentConfig, results: dict, started: float) -> dict:
     """The run's config snapshot and seed, its results block (a dichotomy
-    run's "counts", the urn's "urn") and its wall-clock time."""
+    run's "counts", the urn's "urn"), its wall-clock time and the Python
+    and numpy versions it ran on: numpy's streams, and so every count, may
+    change across its feature releases (NEP 19)."""
     return {
         "artifact_version": __version__,
         "config": config.to_dict(),
         "base_seed": config.seed,
         **results,
         "wall_clock_s": round(time.perf_counter() - started, 3),
+        "environment": {"python": sys.version.split()[0], "numpy": np.__version__},
     }
 
 

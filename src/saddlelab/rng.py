@@ -26,6 +26,16 @@ a column.  Its rows lie an odd number of 64-byte cache lines apart: the
 chunk is rounded up to whole lines, plus one line when that count is even.
 At a power-of-two row pitch every entry of a column would map to the same
 cache set, and reading a column of 1024 trials cost 3-5 times as much.
+
+Observers (Extremes, FirstViolation, Record) read a window of states, not
+each step: drive copies every step's state into a step-major window of
+_WINDOW steps and hands the filled part to each observer when the window
+is full and at every chunk end.  The window holds _WINDOW states per trial
+row of a part, at most 1 MiB per state row at TRIAL_CAP trials; a run with
+no observer has none and copies nothing.  Each reduction an observer takes
+over a window (a NaN-skipping max, a first True) gives what the same
+reduction taken step by step gives, so the window length never changes a
+value.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ __all__ = ["NOISE_CHUNK", "RETIRE_CHUNK", "TRIAL_CAP", "derive_seed", "StreamKey
 NOISE_CHUNK = 8192  # the longest chunk, drawn by the narrowest parts
 RETIRE_CHUNK = 512  # steps per chunk when TRIAL_CAP trials are stepped together
 TRIAL_CAP = 1024  # drive steps wider trial sets in parts to bound buffer memory
+_WINDOW = 128  # steps of states held for the observers between reads
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx) in 32-bit words:
@@ -244,9 +255,16 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
 
     The last axis of state holds the trials.  Step i calls
     update(x, i, noise) with x the state of the trials being stepped and
-    noise their noise for step i; each observer's begin(x, part) sees the
-    start state of the trials `part`, and its step(x, i + 1) the state
-    after step i.  The noise comes either from a given `increments` array
+    noise their noise for step i, and takes the state at node i + 1.  Each
+    observer's begin(x, part) sees the start state of the trials `part`,
+    and its see(states, first) a window of the states that followed:
+    states[j] is the state at node first + j, with states.shape[1:] ==
+    x.shape.  The window is read when _WINDOW steps fill it and at the end
+    of every chunk, before the chunk's non-finite and retirement checks,
+    so each observer has seen every node up to the chunk's end when those
+    run; the window is only valid during the call.  It costs _WINDOW x
+    state.shape[:-1] x min(trials, TRIAL_CAP) doubles, and nothing when no
+    observer is given.  The noise comes either from a given `increments` array
     (trials x n_steps, only read, so a broadcast view will do), or from one
     generator per seed: sample(gen, out) fills `out` with the next len(out)
     values of a trial's stream, and the per-step `scale`, if given,
@@ -285,6 +303,9 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
     if increments is None:
         seeds = np.asarray(seeds, dtype=np.uint64)
         buffer = _draw_buffer(width, min(n_steps, chunk))
+    if observers:
+        # step-major, so each step's states are one row written by an int index
+        window = np.empty((min(n_steps, _WINDOW),) + state.shape[:-1] + (width,))
     bad_steps = []
     for lo in range(0, n_trials, TRIAL_CAP):
         rows = slice(lo, lo + TRIAL_CAP)  # the trials still stepped
@@ -292,7 +313,6 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
         head = max(recorded - lo, 0)
         for obs in observers:
             obs.begin(x, rows)
-        observe = [obs.step for obs in observers]
         gens = (None if increments is not None else
                 [make_rng(key) for key in stream_keys(seeds[rows])])
         for a, b in chunk_ranges(n_steps, chunk):
@@ -305,10 +325,18 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
                 if scale is not None:
                     block *= scale[a:b]
             start = x.copy()
-            for i, noise in enumerate(block.T, a):
-                update(x, i, noise)
-                for step in observe:
-                    step(x, i + 1)
+            if not observers:
+                for i, noise in enumerate(block.T, a):
+                    update(x, i, noise)
+            else:
+                states = window[..., :x.shape[-1]]
+                for w in range(a, b, _WINDOW):
+                    seen = states[:min(_WINDOW, b - w)]
+                    for j, noise in enumerate(block.T[w - a:w - a + len(seen)]):
+                        update(x, w + j, noise)
+                        seen[j] = x
+                    for obs in observers:
+                        obs.see(seen, w + 1)
             if not np.isfinite(x).all():
                 bad = _first_bad_step(start, update, a, block, barrier, head)
                 if bad is not None:
@@ -379,10 +407,12 @@ class Extremes:
         if self.first_tail_node <= 0:
             self._tail[...] = np.abs(x)
 
-    def step(self, x, index):
-        np.fmax(self._max, x, out=self._max)
-        if index >= self.first_tail_node:
-            np.fmax(self._tail, np.abs(x), out=self._tail)
+    def see(self, states, first):
+        # fmax is exact and skips a NaN whichever order it meets it in
+        np.fmax(self._max, np.fmax.reduce(states), out=self._max)
+        tail = states[max(self.first_tail_node - first, 0):]
+        if len(tail):
+            np.fmax(self._tail, np.fmax.reduce(np.abs(tail)), out=self._tail)
 
     def passed(self, barrier: float) -> np.ndarray:
         """Which observed trials have a max above barrier."""
@@ -407,10 +437,11 @@ class FirstViolation:
         self._view = self.value[part]
         self._view[x[0] < x[1]] = 0
 
-    def step(self, x, index):
-        below = x[0] < x[1]
-        if below.any():
-            self._view[below & (self._view < 0)] = index
+    def see(self, states, first):
+        below = states[:, 0] < states[:, 1]
+        new = below.any(axis=0) & (self._view < 0)
+        if new.any():
+            self._view[new] = first + below[:, new].argmax(axis=0)
 
 
 class Record:
@@ -424,9 +455,9 @@ class Record:
     def begin(self, x, part):
         view = self.value[..., part, :]
         self._head = view.shape[-2]
-        # step-major: one step's states are one row, written by an int index
+        # step-major, as the window is: a window is one slice
         self._steps = np.moveaxis(view, -1, 0)
         self._steps[0] = x[..., :self._head]
 
-    def step(self, x, index):
-        self._steps[index] = x[..., :self._head]
+    def see(self, states, first):
+        self._steps[first:first + len(states)] = states[..., :self._head]

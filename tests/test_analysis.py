@@ -57,8 +57,7 @@ class TestClassifier:
         v = np.array([0.0, 5.0, np.nan, 0.0, 0.0])
         top = Extremes(1, t, CFG.tail_start(t[0], t[-1]))
         top.begin(v[:1], slice(None))
-        for i in range(1, len(v)):
-            top.step(v[i:i + 1], i)
+        top.see(v[1:, None], 1)  # one window of nodes 1-4, the NaN inside it
         assert classify_stats(top.max_value, top.tail_abs_max, CFG) == [Outcome.ESCAPED]
         assert classify(traj_from(t, v), CFG) is Outcome.ESCAPED
 

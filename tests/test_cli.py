@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import platform
 from types import SimpleNamespace
 
 import numpy as np
@@ -112,6 +113,9 @@ class TestDichotomyCommands:
         c1, c2 = dict(m1["config"]), dict(m2["config"])
         c1.pop("out_dir"), c2.pop("out_dir")
         assert c1 == c2
+        # the environment the streams came from rides along, outside the config
+        assert m1["environment"] == {"python": platform.python_version(),
+                                     "numpy": np.__version__}
 
     def test_dump_trajectories_opt_in(self, tmp_path):
         rc = main(["monomial-dichotomy", "--k", "2.0", "--gamma", "0.9",

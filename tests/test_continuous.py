@@ -58,10 +58,10 @@ class BandEntered:
 
     def begin(self, x, part):
         self._view = self.value[part]
-        self.step(x, 0)
+        self.see(x[None], 0)
 
-    def step(self, x, index):
-        self._view |= (x > self.lo) & (x < self.hi)
+    def see(self, states, first):
+        self._view |= ((states > self.lo) & (states < self.hi)).any(axis=0)
 
 
 class TestTimeGrid:
@@ -242,24 +242,30 @@ def test_coupled_runs_draw_into_one_bounded_buffer():
 
 @pytest.mark.parametrize("drift", IN_PLACE_DRIFTS, ids=IN_PLACE_IDS)
 @IN_PLACE_SCHEDULES
-def test_in_place_coupled_update_equals_the_plain_loop(drift, schedule, t0):
+def test_in_place_coupled_update_equals_the_plain_loop(monkeypatch, drift, schedule,
+                                                       t0):
     # each row of the pair is its own EM path on the shared increments; the
-    # drifts differ, so the ordering fails on some trials
+    # drifts differ, so the ordering fails on some trials.  The driver's
+    # observers read windows of states, here also windows of 1, 2 and 3 steps
     spec_a = ProcessSpec(drift, schedule, t0=t0, x0=-0.6)
     spec_b = ProcessSpec(DriftSpec("linear", 0.8), schedule, t0=t0, x0=-0.61)
     grid = TimeGrid(t0, t0 + 4.0, 5e-3)
     seeds = [derive_seed(23, i) for i in range(8)]
-    first = coupled_violations_batch(spec_a, spec_b, spec_a.x0, spec_b.x0, grid, seeds)
     paths = [brownian_increments(grid, s) for s in seeds]
     dw = np.array([p.increments for p in paths])
     ref_a, ref_b = em_reference(spec_a, grid, dw), em_reference(spec_b, grid, dw)
-    for i, path in enumerate(paths):
-        a, b = simulate_coupled(spec_a, spec_b, spec_a.x0, spec_b.x0, grid, path)
-        assert np.array_equal(a.values, ref_a[i])
-        assert np.array_equal(b.values, ref_b[i])
     below = ref_a < ref_b
     assert below.any() and not below.all()
-    assert np.array_equal(first, np.where(below.any(axis=1), below.argmax(axis=1), -1))
+    for window in (rng._WINDOW, 1, 2, 3):
+        monkeypatch.setattr(rng, "_WINDOW", window)
+        first = coupled_violations_batch(spec_a, spec_b, spec_a.x0, spec_b.x0, grid,
+                                         seeds)
+        for i, path in enumerate(paths):
+            a, b = simulate_coupled(spec_a, spec_b, spec_a.x0, spec_b.x0, grid, path)
+            assert np.array_equal(a.values, ref_a[i])
+            assert np.array_equal(b.values, ref_b[i])
+        assert np.array_equal(first, np.where(below.any(axis=1), below.argmax(axis=1),
+                                              -1)), window
 
 
 @pytest.mark.parametrize("kernel", ["simulate_em", "em_batch", "simulate_coupled",

@@ -33,6 +33,43 @@ def test_streams_do_not_depend_on_chunk_size(name):
         assert np.array_equal(whole, np.concatenate(pieces)), chunk
 
 
+def _stream_changed(what):
+    return (f"numpy {np.__version__} draws another {what} stream from "
+            "default_rng(20260810): NEP 19 lets a feature release change a "
+            "Generator stream, and every pinned count rests on this one")
+
+
+# the first values of fixed-seed streams, as numpy 2.4.6 draws them; every
+# pin, criterion detail line and bench/pinned.json figure rests on them
+def test_standard_normal_stream_known_answer():
+    drawn = np.random.default_rng(20260810).standard_normal(4)
+    expected = [float.fromhex(h) for h in (
+        "0x1.f2608b096d120p-2", "-0x1.75cad87056e8ep+0",
+        "-0x1.2cbabf5d9f2e8p-3", "-0x1.190592f106ab7p+0")]
+    assert drawn.tolist() == expected, _stream_changed("standard_normal")
+
+
+def test_float64_random_stream_known_answer():
+    drawn = np.random.default_rng(20260810).random(4)
+    expected = [float.fromhex(h) for h in (
+        "0x1.40c0ed87903d8p-2", "0x1.6641738654834p-1",
+        "0x1.4bd86dfdc2eaep-1", "0x1.dd533ac28b831p-1")]
+    assert drawn.tolist() == expected, _stream_changed("float64 random")
+
+
+def test_float32_random_stream_known_answer_and_its_top_bits():
+    # NoiseSpec.fill's Rademacher bits are float32 uniforms >= 1/2, which
+    # must be the bits integers(0, 2) draws from the same 32-bit halves
+    drawn = np.random.default_rng(20260810).random(7, dtype=np.float32)
+    expected = [float.fromhex(h) for h in (
+        "0x1.c81ec8p-1", "0x1.40c0ecp-2", "0x1.520d28p-3", "0x1.664172p-1",
+        "0x1.c2eaeap-1", "0x1.4bd86cp-1", "0x1.17063cp-2")]
+    assert drawn.tolist() == expected, _stream_changed("float32 random")
+    halves = np.random.default_rng(20260810).random(4097, dtype=np.float32) >= 0.5
+    bits = np.random.default_rng(20260810).integers(0, 2, size=4097)
+    assert np.array_equal(halves, bits), _stream_changed("integers(0, 2)")
+
+
 SGD_DRIFT = DriftSpec("monomial", 3.0)
 
 
@@ -82,6 +119,11 @@ def test_counts_do_not_depend_on_parts_or_chunks(monkeypatch):
         assert np.array_equal(final, singles)
 
 
+# the driver's window length, then windows of 1, 2 and 3 steps; windows of 2
+# end inside chunks of 3 steps, and a chunk end always ends a window
+WINDOWS = (rng._WINDOW, 1, 2, 3)
+
+
 def test_observers_see_every_step_of_every_part(monkeypatch):
     monkeypatch.setattr(rng, "TRIAL_CAP", 2)
     monkeypatch.setattr(rng, "NOISE_CHUNK", 3)
@@ -90,12 +132,35 @@ def test_observers_see_every_step_of_every_part(monkeypatch):
     def update(x, step, noise):
         x += noise
 
-    record, top = Record((5,), 7), Extremes(5, np.arange(8.0))
-    final = drive(np.zeros(5), 7, update, [record, top], increments=increments)
     expected = np.concatenate([np.zeros((5, 1)), np.cumsum(increments, axis=1)], axis=1)
-    assert np.array_equal(record.value, expected)
-    assert np.array_equal(final, expected[:, -1])
-    assert np.array_equal(top.max_value, expected.max(axis=1))
+    for window in WINDOWS:
+        monkeypatch.setattr(rng, "_WINDOW", window)
+        record, top = Record((5,), 7), Extremes(5, np.arange(8.0))
+        final = drive(np.zeros(5), 7, update, [record, top], increments=increments)
+        assert np.array_equal(record.value, expected), window
+        assert np.array_equal(final, expected[:, -1]), window
+        assert np.array_equal(top.max_value, expected.max(axis=1)), window
+
+
+def test_first_violation_keeps_the_first_index(monkeypatch):
+    # row 0 takes the increments, row 1 stays at 0.  Trial 0 first falls
+    # below at node 6, in the middle of a window of 4 (nodes 5-8), recovers
+    # and falls below again at node 10; trial 1 never does; trial 2 is
+    # below from node 0 and trial 3 from the last node
+    increments = np.zeros((4, 12))
+    increments[0, [5, 6, 9]] = -1.0, 1.0, -1.0
+    increments[3, 11] = -1.0
+
+    def update(x, step, noise):
+        x[0] += noise
+
+    state = np.zeros((2, 4))
+    state[0, 2] = -1.0
+    for window in (*WINDOWS, 4):
+        monkeypatch.setattr(rng, "_WINDOW", window)
+        first = rng.FirstViolation(4)
+        drive(state.copy(), 12, update, [first], increments=increments)
+        assert first.value.tolist() == [6, -1, 0, 12], window
 
 
 @pytest.mark.parametrize("tail_start, first_node", [
@@ -111,12 +176,15 @@ def test_extremes_tail_is_every_node_at_or_after_tail_start(monkeypatch, tail_st
     def update(x, step, noise):
         x += noise
 
-    record, extremes = Record((5,), 7), Extremes(5, np.arange(8.0), tail_start)
-    drive(np.full(5, 0.5), 7, update, [record, extremes], increments=increments)
-    assert extremes.first_tail_node == first_node
-    assert np.array_equal(extremes.max_value, record.value.max(axis=1))
-    tail = np.abs(record.value[:, first_node:])
-    assert np.array_equal(extremes.tail_abs_max, tail.max(axis=1, initial=0.0))
+    for window in WINDOWS:
+        monkeypatch.setattr(rng, "_WINDOW", window)
+        record, extremes = Record((5,), 7), Extremes(5, np.arange(8.0), tail_start)
+        drive(np.full(5, 0.5), 7, update, [record, extremes], increments=increments)
+        assert extremes.first_tail_node == first_node
+        assert np.array_equal(extremes.max_value, record.value.max(axis=1)), window
+        tail = np.abs(record.value[:, first_node:])
+        assert np.array_equal(extremes.tail_abs_max,
+                              tail.max(axis=1, initial=0.0)), window
 
 
 def test_non_finite_error_names_first_step_over_all_parts(monkeypatch):
@@ -463,6 +531,15 @@ def test_head_record_changes_no_count_and_records_whole_paths(monkeypatch, model
     for field in ("max_value", "tail_abs_max"):
         assert np.array_equal(getattr(recorded, field)[5:], getattr(plain, field)[5:])
     assert np.array_equal(record.value, reference)
+    # windows that end inside a chunk change no value
+    for window in WINDOWS[1:]:
+        monkeypatch.setattr(rng, "_WINDOW", window)
+        again, again_plain, again_record, _ = _recorded_and_plain(model, seeds,
+                                                                  barrier, 5)
+        for field in ("final", "max_value", "tail_abs_max"):
+            assert np.array_equal(getattr(again, field), getattr(recorded, field))
+            assert np.array_equal(getattr(again_plain, field), getattr(plain, field))
+        assert np.array_equal(again_record.value, reference), window
     # some recorded trial crossed the barrier long before the horizon, so
     # without the record it would have retired; some never crossed
     crossed = (reference > barrier).any(axis=1)
