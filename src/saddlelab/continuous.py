@@ -128,7 +128,7 @@ def _em_coefficients(noise: NoiseSchedule, grid: TimeGrid):
         raise ValueError(f"grid starts before t0 = {noise.min_t0} "
                          f"allowed by schedule {noise.kind!r}")
     t = grid.times()
-    dt = grid.step_sizes()
+    dt = np.diff(t)  # grid.step_sizes(), without building the times again
     wdt = np.asarray(noise.drift_weight(t[:-1]), dtype=float) * dt
     g = np.asarray(noise.g(t[:-1]), dtype=float)
     return wdt, g, np.sqrt(dt)

@@ -238,21 +238,10 @@ def _urn_red_counts(spec: UrnSpec, n_end: int, seeds, observers=()) -> np.ndarra
                 red[trial] += np.count_nonzero(buffer[:b - a] < spec.value)
         return red
 
-    # red / total and the comparison go into two arrays kept from step to
-    # step; a part of width n writes their first n entries, through views
-    # taken when that width first steps
     f = spec.feedback()
-    frac = np.empty(len(seeds))
-    added = np.empty(len(seeds), dtype=bool)
-    views = frac, added
 
     def update(red, step, u):
-        nonlocal views
-        if len(views[0]) != len(red):
-            views = frac[:len(red)], added[:len(red)]
-        frac_n, added_n = views
-        red += np.less(u, f(np.divide(red, float(n0 + step), out=frac_n)),
-                       out=added_n)
+        red += u < f(red / float(n0 + step))
 
     return drive(np.full(len(seeds), float(spec.red0)), n_end - n0, update,
                  observers, seeds=seeds, sample=_uniform)

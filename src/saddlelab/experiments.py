@@ -244,8 +244,8 @@ def _classifier(config: ExperimentConfig, t0: float, t_end: float,
 def _build_runner(config: ExperimentConfig, k: float, gamma: float):
     """The runner of one cell: its model's spec, hypotheses, grid and
     classifier.  Each spec is built first, so DriftSpec's k bound is the
-    one that rejects k; an SDE cell's grid comes next, so a bad dt or
-    horizon is rejected before any trial runs."""
+    one that rejects k; a discrete cell's steps or an SDE cell's grid
+    comes next, so a bad horizon is rejected before any trial runs."""
     kind = _runner_kind(config)
     if kind == "discrete":
         drift = DriftSpec("monomial", k, config.c, config.cap)
@@ -253,6 +253,8 @@ def _build_runner(config: ExperimentConfig, k: float, gamma: float):
             raise ValueError("discrete dichotomy requires gamma in (1/2, 1) "
                              "(step-size hypothesis)")
         n_end = config.n0 + config.steps
+        if not (config.n0 >= 1 and n_end > config.n0):
+            raise ValueError("need n0 >= 1 and n_end > n0")
         cfg = _classifier(config, config.n0, n_end, 3.0, lambda _, n_tail: min(
             3.0 * (1.0 - gamma) * n_tail ** (-(1.0 - gamma)), 0.1))
         return DiscreteDichotomyRunner(

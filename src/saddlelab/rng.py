@@ -27,15 +27,18 @@ chunk is rounded up to whole lines, plus one line when that count is even.
 At a power-of-two row pitch every entry of a column would map to the same
 cache set, and reading a column of 1024 trials cost 3-5 times as much.
 
-Observers (Extremes, FirstViolation, Record) read a window of states, not
-each step: drive copies every step's state into a step-major window of
-_WINDOW steps and hands the filled part to each observer when the window
-is full and at every chunk end.  The window holds _WINDOW states per trial
-row of a part, at most 1 MiB per state row at TRIAL_CAP trials; a run with
-no observer has none and copies nothing.  Each reduction an observer takes
-over a window (a NaN-skipping max, a first True) gives what the same
-reduction taken step by step gives, so the window length never changes a
-value.
+Observers (Extremes, FirstViolation, Record) have one method,
+see(states, first, rows), and keep no view of a part: each folds a window
+of states into its own per-trial arrays at `rows`, the global indices of
+the trials on the window's last axis.  drive hands each part's node 0
+through see as a one-step window, then copies every step's state into a
+step-major window of _WINDOW steps and hands the filled part over when the
+window is full and at every chunk end.  The window holds _WINDOW states
+per trial row of a part, at most 1 MiB per state row at TRIAL_CAP trials;
+a run with no observer has none and copies nothing.  Each reduction an
+observer takes over a window (a NaN-skipping max, a first True) gives what
+the same reduction taken step by step gives, so the window length never
+changes a value.
 """
 
 from __future__ import annotations
@@ -256,29 +259,31 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
     The last axis of state holds the trials.  Step i calls
     update(x, i, noise) with x the state of the trials being stepped and
     noise their noise for step i, and takes the state at node i + 1.  Each
-    observer's begin(x, part) sees the start state of the trials `part`,
-    and its see(states, first) a window of the states that followed:
-    states[j] is the state at node first + j, with states.shape[1:] ==
-    x.shape.  The window is read when _WINDOW steps fill it and at the end
-    of every chunk, before the chunk's non-finite and retirement checks,
-    so each observer has seen every node up to the chunk's end when those
-    run; the window is only valid during the call.  It costs _WINDOW x
-    state.shape[:-1] x min(trials, TRIAL_CAP) doubles, and nothing when no
-    observer is given.  The noise comes either from a given `increments` array
-    (trials x n_steps, only read, so a broadcast view will do), or from one
-    generator per seed: sample(gen, out) fills `out` with the next len(out)
-    values of a trial's stream, and the per-step `scale`, if given,
-    multiplies the drawn block in place.
+    observer has one method, see(states, first, rows): states[j] is the
+    state at node first + j, with states.shape[1:] == x.shape, and rows
+    holds the global (ascending) indices of the trials on its last axis.
+    A part's node 0 arrives as a one-step window with first == 0; the
+    nodes after it arrive when _WINDOW steps fill the window and at the
+    end of every chunk, before the chunk's non-finite and retirement
+    checks, so each observer has seen every node up to the chunk's end
+    when those run.  The window is only valid during the call.  It costs
+    _WINDOW x state.shape[:-1] x min(trials, TRIAL_CAP) doubles however
+    many observers read it, and nothing when no observer is given.  The
+    noise comes either from a given `increments` array (trials x n_steps,
+    only read, so a broadcast view will do), or from one generator per
+    seed: sample(gen, out) fills `out` with the next len(out) values of a
+    trial's stream, and the per-step `scale`, if given, multiplies the
+    drawn block in place.
 
     A run with a barrier classifies: its observers are an Extremes and,
     optionally, a Record of the leading trials of the state.  A trial whose
     running max has passed the barrier is escaped whatever follows, so at
-    the end of each chunk such trials retire: they are stepped no further
-    and draw no more noise, and their state and extremes keep their values
-    at retirement.  Recorded trials never retire before the horizon, so
-    their every state is recorded; they stay the leading trials of each
-    part as the others retire.  A part of the trials ends when none of them
-    is left.
+    the end of each chunk before the last such trials retire: they are
+    stepped no further and draw no more noise, and their state and
+    extremes keep their values at retirement.  Recorded trials never
+    retire, so their every state is recorded; they stay the leading trials
+    of each part as the others retire.  A part of the trials ends at the
+    horizon or when none of them is left, and then writes its state back.
 
     Every run, with a barrier or without, steps in chunks of
     min(NOISE_CHUNK, TRIAL_CAP * RETIRE_CHUNK // width) steps, width being
@@ -308,11 +313,12 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
         window = np.empty((min(n_steps, _WINDOW),) + state.shape[:-1] + (width,))
     bad_steps = []
     for lo in range(0, n_trials, TRIAL_CAP):
-        rows = slice(lo, lo + TRIAL_CAP)  # the trials still stepped
-        x = state[..., rows]
+        rows = np.arange(lo, min(lo + TRIAL_CAP, n_trials))  # the trials still stepped
+        # take keeps C order; state[..., rows] would stride each state row
+        x = state.take(rows, axis=-1)
         head = max(recorded - lo, 0)
         for obs in observers:
-            obs.begin(x, rows)
+            obs.see(x[None], 0, rows)
         gens = (None if increments is not None else
                 [make_rng(key) for key in stream_keys(seeds[rows])])
         for a, b in chunk_ranges(n_steps, chunk):
@@ -336,30 +342,24 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
                         update(x, w + j, noise)
                         seen[j] = x
                     for obs in observers:
-                        obs.see(seen, w + 1)
+                        obs.see(seen, w + 1, rows)
             if not np.isfinite(x).all():
                 bad = _first_bad_step(start, update, a, block, barrier, head)
                 if bad is not None:
                     bad_steps.append(bad)
                     break
-            if barrier is not None:
-                if b < n_steps:
-                    keep = ~extremes.passed(barrier)
-                    keep[:head] = True  # recorded trials step on to the horizon
-                else:
-                    # every trial left at the horizon retires with the last chunk
-                    keep = np.zeros(x.shape[-1], dtype=bool)
+            if barrier is not None and b < n_steps:
+                keep = ~(extremes.max_value[rows] > barrier)
+                keep[:head] = True  # recorded trials step on to the horizon
                 if keep.all():
                     continue
-                if isinstance(rows, slice):
-                    rows = np.arange(n_trials)[rows]
                 state[..., rows] = x
-                extremes.retire(rows, keep)
                 rows, x = rows[keep], x[..., keep]
                 if gens is not None:
                     gens = [gen for gen, kept in zip(gens, keep) if kept]
                 if not len(rows):
                     break
+        state[..., rows] = x
     if bad_steps:
         raise NonFiniteStateError(min(bad_steps))
     return state
@@ -394,36 +394,20 @@ class Extremes:
     state leaves both maxima as they were."""
 
     def __init__(self, n_trials: int, times, tail_start: float | None = None):
-        self.max_value = np.empty(n_trials)
+        # NaN until node 0, which fmax then takes bit for bit
+        self.max_value = np.full(n_trials, np.nan)
         self.tail_abs_max = np.zeros(n_trials)
         self.final = None
         self.first_tail_node = (0 if tail_start is None else
                                 int(np.count_nonzero(np.asarray(times) < tail_start)))
 
-    def begin(self, x, part):
-        self._max = self.max_value[part]
-        self._tail = self.tail_abs_max[part]
-        self._max[...] = x
-        if self.first_tail_node <= 0:
-            self._tail[...] = np.abs(x)
-
-    def see(self, states, first):
+    def see(self, states, first, rows):
         # fmax is exact and skips a NaN whichever order it meets it in
-        np.fmax(self._max, np.fmax.reduce(states), out=self._max)
+        self.max_value[rows] = np.fmax(self.max_value[rows], np.fmax.reduce(states))
         tail = states[max(self.first_tail_node - first, 0):]
         if len(tail):
-            np.fmax(self._tail, np.fmax.reduce(np.abs(tail)), out=self._tail)
-
-    def passed(self, barrier: float) -> np.ndarray:
-        """Which observed trials have a max above barrier."""
-        return self._max > barrier
-
-    def retire(self, rows, keep) -> None:
-        """Store the extremes of the observed trials, which are `rows`, and
-        go on observing only those where keep is True."""
-        self.max_value[rows] = self._max
-        self.tail_abs_max[rows] = self._tail
-        self._max, self._tail = self._max[keep], self._tail[keep]
+            self.tail_abs_max[rows] = np.fmax(self.tail_abs_max[rows],
+                                              np.fmax.reduce(np.abs(tail)))
 
 
 class FirstViolation:
@@ -433,15 +417,11 @@ class FirstViolation:
     def __init__(self, n_trials: int):
         self.value = np.full(n_trials, -1, dtype=np.int64)
 
-    def begin(self, x, part):
-        self._view = self.value[part]
-        self._view[x[0] < x[1]] = 0
-
-    def see(self, states, first):
+    def see(self, states, first, rows):
         below = states[:, 0] < states[:, 1]
-        new = below.any(axis=0) & (self._view < 0)
+        new = below.any(axis=0) & (self.value[rows] < 0)
         if new.any():
-            self._view[new] = first + below[:, new].argmax(axis=0)
+            self.value[rows[new]] = first + below[:, new].argmax(axis=0)
 
 
 class Record:
@@ -452,12 +432,10 @@ class Record:
     def __init__(self, shape, n_steps: int):
         self.value = np.empty(tuple(shape) + (n_steps + 1,))
 
-    def begin(self, x, part):
-        view = self.value[..., part, :]
-        self._head = view.shape[-2]
-        # step-major, as the window is: a window is one slice
-        self._steps = np.moveaxis(view, -1, 0)
-        self._steps[0] = x[..., :self._head]
-
-    def see(self, states, first):
-        self._steps[first:first + len(states)] = states[..., :self._head]
+    def see(self, states, first, rows):
+        # the recorded trials lead every part and never retire, so those
+        # among rows are the n after rows[0]; step-major, as the window is,
+        # a window is one slice
+        n = int(np.searchsorted(rows, self.value.shape[-2]))
+        steps = np.moveaxis(self.value[..., rows[0]:rows[0] + n, :], -1, 0)
+        steps[first:first + len(states)] = states[..., :n]

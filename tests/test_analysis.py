@@ -56,8 +56,8 @@ class TestClassifier:
         t = np.arange(5.0)
         v = np.array([0.0, 5.0, np.nan, 0.0, 0.0])
         top = Extremes(1, t, CFG.tail_start(t[0], t[-1]))
-        top.begin(v[:1], slice(None))
-        top.see(v[1:, None], 1)  # one window of nodes 1-4, the NaN inside it
+        top.see(v[:1, None], 0, [0])
+        top.see(v[1:, None], 1, [0])  # one window of nodes 1-4, the NaN inside it
         assert classify_stats(top.max_value, top.tail_abs_max, CFG) == [Outcome.ESCAPED]
         assert classify(traj_from(t, v), CFG) is Outcome.ESCAPED
 

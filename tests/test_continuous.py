@@ -56,12 +56,8 @@ class BandEntered:
         self.value = np.zeros(n_trials, dtype=bool)
         self.lo, self.hi = lo, hi
 
-    def begin(self, x, part):
-        self._view = self.value[part]
-        self.see(x[None], 0)
-
-    def see(self, states, first):
-        self._view |= ((states > self.lo) & (states < self.hi)).any(axis=0)
+    def see(self, states, first, rows):
+        self.value[rows] |= ((states > self.lo) & (states < self.hi)).any(axis=0)
 
 
 class TestTimeGrid:

@@ -153,6 +153,18 @@ class TestRunners:
             run_dichotomy(config)
         assert sizes == []
 
+    @pytest.mark.parametrize("field, value", [("steps", 0), ("n0", 0), ("steps", -5)])
+    def test_bad_discrete_horizon_rejected_before_any_pool(self, monkeypatch,
+                                                           field, value):
+        sizes = []
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor",
+                            functools.partial(SerialPool, sizes))
+        config = dataclasses.replace(ExperimentConfig(
+            kind="discrete-dichotomy", trials=4, jobs=2), **{field: value})
+        with pytest.raises(ValueError, match="need n0 >= 1 and n_end > n0"):
+            run_dichotomy(config)
+        assert sizes == []
+
     def test_discrete_runner_outcomes(self):
         config = ExperimentConfig(kind="discrete-dichotomy", n0=10, steps=2000)
         runner = _build_runner(config, 2.0, 0.9)

@@ -142,6 +142,36 @@ def test_observers_see_every_step_of_every_part(monkeypatch):
         assert np.array_equal(top.max_value, expected.max(axis=1)), window
 
 
+class _SeeLog:
+    """An observer with only see: logs each call's (first, len(states), rows)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def see(self, states, first, rows):
+        self.calls.append((first, len(states), list(rows)))
+
+
+def test_one_see_method_gets_every_node_of_every_part_at_its_rows(monkeypatch):
+    # parts of two trials, [0, 1], [2, 3] and [4], each seen from node 0
+    monkeypatch.setattr(rng, "TRIAL_CAP", 2)
+    monkeypatch.setattr(rng, "NOISE_CHUNK", 3)
+
+    def update(x, step, noise):
+        x += noise
+
+    for window in WINDOWS:
+        monkeypatch.setattr(rng, "_WINDOW", window)
+        log = _SeeLog()
+        drive(np.zeros(5), 7, update, [log], increments=np.ones((5, 7)))
+        for part in ([0, 1], [2, 3], [4]):
+            nodes = [first + j for first, n, rows in log.calls if rows == part
+                     for j in range(n)]
+            assert sorted(nodes) == list(range(8)), (window, part)
+        assert all(rows in ([0, 1], [2, 3], [4]) for _, _, rows in log.calls)
+        assert log.calls[0] == (0, 1, [0, 1])  # node 0 arrives through see
+
+
 def test_first_violation_keeps_the_first_index(monkeypatch):
     # row 0 takes the increments, row 1 stays at 0.  Trial 0 first falls
     # below at node 6, in the middle of a window of 4 (nodes 5-8), recovers
