@@ -143,9 +143,11 @@ def _em_drive(spec: ProcessSpec, grid: TimeGrid, observers, seeds=None,
     drift = spec.drift
 
     def update(x, step, dw):
+        # 0-d views of the step's coefficients: numpy takes them faster
+        # than floats
         d = drift_eval(drift, x)
-        d *= wdt[step]
-        d += g[step] * dw
+        d *= wdt[step, ...]
+        d += g[step, ...] * dw
         x += d
 
     n_trials = len(seeds) if increments is None else len(increments)
@@ -215,10 +217,10 @@ def _coupled_drive(spec_a: ProcessSpec, spec_b: ProcessSpec, x0_a: float,
     drift_a, drift_b = spec_a.drift, spec_b.drift
 
     def update(x, step, dw):
-        noise = g[step] * dw
+        noise, w = g[step, ...] * dw, wdt[step, ...]
         for row, drift in ((x[0], drift_a), (x[1], drift_b)):
             d = drift_eval(drift, row)
-            d *= wdt[step]
+            d *= w
             d += noise
             row += d
 

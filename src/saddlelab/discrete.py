@@ -119,7 +119,7 @@ def _sgd_drive(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: floa
         # yh is Y_{n+1}/n^gamma, scaled by the driver (0 on the noise-free
         # path, where 0 * h == 0 makes scaling moot)
         d = drift_eval(drift, x)
-        d *= inv_ng[step]
+        d *= inv_ng[step, ...]  # a 0-d view: numpy takes it faster than a float
         d += yh
         x += d
 
@@ -239,9 +239,10 @@ def _urn_red_counts(spec: UrnSpec, n_end: int, seeds, observers=()) -> np.ndarra
         return red
 
     f = spec.feedback()
+    totals = np.arange(n0, n_end, dtype=float)  # exact: the counts are below 2**53
 
     def update(red, step, u):
-        red += u < f(red / float(n0 + step))
+        red += u < f(red / totals[step, ...])
 
     return drive(np.full(len(seeds), float(spec.red0)), n_end - n0, update,
                  observers, seeds=seeds, sample=_uniform)

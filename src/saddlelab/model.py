@@ -20,6 +20,7 @@ converges to the origin with positive probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,26 +78,69 @@ class DriftSpec:
             if not self.cap > 0:
                 raise ValueError("monomial drift requires cap > 0")
 
+    # k, cap and cap * cap as read-only 0-d float64 arrays, built on first
+    # use: numpy takes a 0-d array operand 150-200 ns faster than a Python
+    # float.  They are not fields, so ==, hash, repr and asdict never see them
+    @cached_property
+    def k_operand(self) -> np.ndarray:
+        return _operand(self.k)
+
+    @cached_property
+    def cap_operand(self) -> np.ndarray:
+        return _operand(self.cap)
+
+    @cached_property
+    def cap_squared_operand(self) -> np.ndarray:
+        return _operand(self.cap * self.cap)
+
+    def __reduce__(self):
+        # a pickle (a spec sent to a pool worker) carries the fields alone:
+        # numpy unpickles a read-only array as a writeable one, so the
+        # operands are built again where they are read
+        return type(self), (self.family, self.k, self.c, self.cap)
+
+
+def _operand(value: float) -> np.ndarray:
+    out = np.array(value, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
 
 def drift_eval(spec: DriftSpec, x):
     """Evaluate f at x (scalar or ndarray); even in x and nonnegative.
 
-    A float array gets one new array, |x|, which every later factor
-    updates in place; x itself is never written."""
-    ax = np.abs(x)
-    if not (isinstance(ax, np.ndarray) and ax.dtype.kind == "f"):
+    An array gets one new array, which every later factor updates in
+    place; x itself is never written.  A float64 array with at least one
+    axis takes the spec's 0-d operands, and for k = 2 it computes
+    min(x * x, cap * cap), which equals min(|x|, cap)^2 bit for bit because
+    correctly rounded squaring is monotone on |x|.  That fused form differs
+    in two ways that move no finite value: a NaN keeps its sign bit, and for
+    |x| above about 1.34e154 the square overflows before the min, which can
+    raise numpy's overflow flag where min-then-square does not (the value is
+    the same; rng.drive steps under errstate(over="ignore")).  Scalars, 0-d
+    input, integer arrays and other float dtypes take the Python floats, as
+    a float64 0-d operand would change float32 rounding."""
+    if not (isinstance(x, np.ndarray) and x.ndim and x.dtype.kind == "f"):
         # scalars, 0-d input and integer arrays, which the products promote
+        ax = np.abs(x)
         if spec.family == LINEAR:
             return spec.k * ax
         return spec.c * np.minimum(ax, spec.cap) ** spec.k
+    wide = x.dtype == np.float64
     if spec.family == LINEAR:
-        ax *= spec.k
-        return ax
-    np.minimum(ax, spec.cap, out=ax)
-    ax **= spec.k
+        out = np.abs(x)
+        out *= spec.k_operand if wide else spec.k
+        return out
+    if wide and spec.k == 2.0:
+        out = np.square(x)
+        np.minimum(out, spec.cap_squared_operand, out=out)
+    else:
+        out = np.abs(x)
+        np.minimum(out, spec.cap_operand if wide else spec.cap, out=out)
+        out **= spec.k_operand if wide else spec.k
     if spec.c != 1.0:  # v * 1.0 == v
-        ax *= spec.c
-    return ax
+        out *= spec.c
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from saddlelab.cli import make_manifest
+from saddlelab.experiments import ExperimentConfig, _build_runner
 from saddlelab.model import (DriftSpec, MeanFlowFrame, NoiseSchedule,
                              ProcessSpec, drift_eval, gamma_threshold,
                              mean_flow_h, time_change_exp,
@@ -55,6 +59,59 @@ def test_drift_eval_in_place_gives_the_one_expression_values(spec):
         got, expected = drift_eval(spec, x), one_expression_drift(spec, x)
         assert type(got) is type(expected)
         assert got == expected
+
+
+@pytest.mark.parametrize("c", [1.0, 0.7])
+@pytest.mark.parametrize("cap", [0.5, 0.7, 10.0, 1e160, 1e300])
+def test_drift_eval_on_float64_edges_gives_the_one_expression_values(cap, c):
+    # float64 arrays take the 0-d operands, and k = 2 takes min(x * x,
+    # cap * cap): the inputs are where that form could part from
+    # min(|x|, cap)^2, and past 1.34e154 the square overflows first
+    tiny = np.finfo(float).smallest_subnormal
+    near = np.nextafter(cap, [0.0, np.inf])
+    xs = np.array([0.0, -0.0, tiny, -tiny, 2.0 ** -1030, np.inf, -np.inf, np.nan,
+                   cap, -cap, *near, *-near, math.sqrt(cap), 0.5 * cap,
+                   1.34e154, -1.35e154, 1e300, -np.finfo(float).max])
+    kept = xs.copy()
+    specs = [DriftSpec("linear", 0.3, c, cap)] + [
+        DriftSpec("monomial", k, c, cap) for k in (2.0, 3.0, 1.5)]
+    with np.errstate(over="ignore"):
+        for spec in specs:
+            got, expected = drift_eval(spec, xs), one_expression_drift(spec, xs)
+            assert got.dtype == expected.dtype == np.float64
+            assert np.array_equal(got, expected, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert np.array_equal(xs, kept, equal_nan=True)
+
+
+def test_drift_operands_are_cached_read_only_and_not_fields():
+    spec, plain = DriftSpec("monomial", 2.0, 0.7, 3.0), DriftSpec("monomial", 2.0, 0.7, 3.0)
+    values = {"k_operand": 2.0, "cap_operand": 3.0, "cap_squared_operand": 9.0}
+    for name, value in values.items():
+        operand = getattr(spec, name)
+        assert operand is getattr(spec, name)
+        assert operand.shape == () and operand.dtype == np.float64 and operand == value
+        with pytest.raises(ValueError):
+            operand[...] = 0.0
+    assert spec == plain and hash(spec) == hash(plain) and repr(spec) == repr(plain)
+    assert dataclasses.asdict(spec) == {"family": "monomial", "k": 2.0, "c": 0.7, "cap": 3.0}
+    # a pool worker gets the spec pickled: the fields alone, its operands
+    # built again, read-only, on first use
+    sent = pickle.loads(pickle.dumps(spec))
+    assert sent == spec and not set(values) & set(vars(sent))
+    for name, value in values.items():
+        assert getattr(sent, name) == value and not getattr(sent, name).flags.writeable
+    # replace builds a new spec, whose operands follow its own fields
+    wider = dataclasses.replace(spec, k=3.0, cap=5.0)
+    assert (wider.k_operand, wider.cap_operand, wider.cap_squared_operand) == (3.0, 5.0, 25.0)
+    # a run's manifest holds the config's fields, whatever its specs cached
+    config = ExperimentConfig(kind="discrete-dichotomy", n0=10, steps=100, trials=4)
+    drift = _build_runner(config, 2.0, 0.9).drift
+    drift_eval(drift, np.zeros(4))
+    assert "cap_squared_operand" in vars(drift)
+    manifest = make_manifest(config, {}, 0.0)
+    assert manifest["config"] == config.to_dict()
+    assert set(manifest["config"]) == {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def test_drift_validation():

@@ -99,8 +99,8 @@ def test_counts_do_not_depend_on_parts_or_chunks(monkeypatch):
     for field in ("final", "max_value", "tail_abs_max"):
         assert np.array_equal(getattr(wide, field), getattr(parted, field))
     # the recursion's noise fills odd 7-step chunks, so a Rademacher fill
-    # starts on a buffered half; the record's four rows span two parts and
-    # are written step-major through per-part views
+    # starts on a buffered half; the record's four rows span two parts, and
+    # each part's windows are written into them at the trials' global indices
     for noise, (stats, record) in zip(noises, sgd_wide):
         parted_stats, parted_record = _recorded_sgd_batch(noise, seeds)
         for field in ("final", "max_value", "tail_abs_max"):
@@ -109,10 +109,10 @@ def test_counts_do_not_depend_on_parts_or_chunks(monkeypatch):
         for row, seed in zip(parted_record.value, seeds):
             single = discrete.simulate_sgd(SGD_DRIFT, 0.7, noise, -0.2, 10, 310, seed)
             assert np.array_equal(row, single.values)
-    # the urn's parts of three, and the last part of one, write the leading
-    # entries of its kept red / total and comparison arrays through views
-    # taken per width; each trial's final is its single path's, for every
-    # state-dependent feedback
+    # the urn's parts of three, and the last part of one, each compute a
+    # new red / total and comparison array per step at the part's width;
+    # each trial's final is its single path's, for every state-dependent
+    # feedback
     for urn, final in zip(urns, finals):
         assert np.array_equal(final, discrete.urn_final_batch(urn, 300, seeds))
         singles = [discrete.simulate_urn(urn, 300, seed).values[-1] for seed in seeds]
