@@ -115,32 +115,37 @@ def load_config_file(path: str) -> dict:
     return data
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file (or a run manifest); "
-                                      "flags override file values")
-    sub.add_argument("--k", type=float)
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--c", type=float)
-    sub.add_argument("--cap", type=float)
-    sub.add_argument("--noise", choices=["rademacher", "uniform_centered"])
-    sub.add_argument("--noise-bound", type=float, dest="noise_bound")
-    sub.add_argument("--dt", type=float)
-    sub.add_argument("--horizon", type=float)
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--eps-conv", type=float, dest="eps_conv")
-    sub.add_argument("--barrier", type=float)
-    sub.add_argument("--tail-fraction", type=float, dest="tail_fraction")
-    sub.add_argument("--x0", type=float)
-    sub.add_argument("--t0", type=float)
-    sub.add_argument("--n0", type=int)
-    sub.add_argument("--steps", type=int)
-    sub.add_argument("--format", choices=["csv", "json"], dest="out_format")
-    sub.add_argument("--out", dest="out_dir", help="output directory")
-    sub.add_argument("--jobs", type=int, help="worker pool size "
-                                              "(default: available cores)")
-    sub.add_argument("--dump-trajectories", action="store_true", default=None,
-                     dest="dump_trajectories")
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags every experiment subcommand takes, on one parent parser
+    that each subcommand's parser copies (parents=): argparse builds a help
+    formatter for every add_argument call, so they are added once."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file (or a run manifest); "
+                                         "flags override file values")
+    common.add_argument("--k", type=float)
+    common.add_argument("--gamma", type=float)
+    common.add_argument("--c", type=float)
+    common.add_argument("--cap", type=float)
+    common.add_argument("--noise", choices=["rademacher", "uniform_centered"])
+    common.add_argument("--noise-bound", type=float, dest="noise_bound")
+    common.add_argument("--dt", type=float)
+    common.add_argument("--horizon", type=float)
+    common.add_argument("--trials", type=int)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--eps-conv", type=float, dest="eps_conv")
+    common.add_argument("--barrier", type=float)
+    common.add_argument("--tail-fraction", type=float, dest="tail_fraction")
+    common.add_argument("--x0", type=float)
+    common.add_argument("--t0", type=float)
+    common.add_argument("--n0", type=int)
+    common.add_argument("--steps", type=int)
+    common.add_argument("--format", choices=["csv", "json"], dest="out_format")
+    common.add_argument("--out", dest="out_dir", help="output directory")
+    common.add_argument("--jobs", type=int, help="worker pool size "
+                                                 "(default: available cores)")
+    common.add_argument("--dump-trajectories", action="store_true", default=None,
+                        dest="dump_trajectories")
+    return common
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,10 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo experiments for stochastic-approximation "
                     "dynamics near degenerate saddle points")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_common_flags()]
     for name in ("simulate", "sweep", "linear-dichotomy", "monomial-dichotomy",
                  "discrete-dichotomy", "urn"):
-        p = sub.add_parser(name)
-        _add_common_flags(p)
+        p = sub.add_parser(name, parents=common)
         if name == "simulate":
             p.add_argument("--model", choices=["continuous", "discrete"])
             p.add_argument("--family", choices=["linear", "monomial"])

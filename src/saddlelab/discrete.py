@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuous import Trajectory
-from .model import DriftSpec, MeanFlowFrame, drift_eval, mean_flow_h
+from .model import DriftSpec, MeanFlowFrame, _operand, drift_eval, mean_flow_h
 from .rng import (NOISE_CHUNK, Extremes, Record, chunk_ranges, drive, make_rng,
                   stream_keys)
 
@@ -48,6 +48,10 @@ __all__ = [
 
 RADEMACHER = "rademacher"
 UNIFORM_CENTERED = "uniform_centered"
+
+# the Rademacher fill's constants as read-only 0-d arrays, which numpy
+# takes faster than Python floats (the bits and values are the same)
+_HALF, _TWO, _ONE = _operand(0.5, np.float32), _operand(2.0), _operand(1.0)
 
 
 @dataclass(frozen=True)
@@ -86,13 +90,15 @@ class NoiseSpec:
         left buffered.  integers keeps the half's top bit (Lemire's
         multiply-shift by 2), and the float32 uniform (half >> 8) 2^-24 is
         at least 1/2 exactly when that bit is set; the uniform is the
-        cheaper call.  Reading PCG64's raw words would be cheaper still,
-        but a draw that bypasses the Generator's methods is one that a
-        tracer wrapping them cannot count."""
+        cheaper call.  Its constants are 0-d operands (_HALF is float32, so
+        the uniforms are compared in float32 as against 0.5).  Reading
+        PCG64's raw words would be cheaper still, but a draw that bypasses
+        the Generator's methods is one that a tracer wrapping them cannot
+        count."""
         if self.family == RADEMACHER:
-            out[:] = rng.random(len(out), dtype=np.float32) >= 0.5
-            out *= 2.0
-            out -= 1.0
+            out[...] = rng.random(len(out), dtype=np.float32) >= _HALF
+            out *= _TWO
+            out -= _ONE
             if self.M != 1.0:  # v * 1.0 == v
                 out *= self.M
         else:

@@ -261,6 +261,14 @@ def _build_runner(config: ExperimentConfig, k: float, gamma: float):
             drift=drift, noise=disc.NoiseSpec(config.noise, config.noise_bound),
             gamma=gamma, x0=config.x0, n0=config.n0, n_end=n_end, cfg=cfg)
     if kind == "linear":
+        # k|x| on the exponential clock reads no c, cap or gamma, so a value
+        # other than the default would be recorded but not run
+        for name, value in (("c", config.c), ("cap", config.cap), ("gamma", gamma)):
+            default = getattr(ExperimentConfig, name)
+            if value != default:
+                raise ValueError(f"the linear drift k|x| on the exponential clock "
+                                 f"does not use {name}; got {name} = {value:g}, "
+                                 f"leave it at {default:g}")
         spec = ProcessSpec(DriftSpec("linear", k), NoiseSchedule("exp_half"),
                            t0=config.t0, x0=config.x0)
         if k >= 0.5:

@@ -93,15 +93,59 @@ class DriftSpec:
     def cap_squared_operand(self) -> np.ndarray:
         return _operand(self.cap * self.cap)
 
+    @cached_property
+    def kernel(self):
+        """f on a float64 ndarray with at least one axis, into one new array,
+        with the family, k = 2 and c != 1 decided here, once per spec, from
+        the 0-d operands.  k = 2 computes min(x * x, cap * cap): see
+        drift_eval for why that equals min(|x|, cap)^2."""
+        # the ufuncs as closure cells: no module lookup per call
+        absolute, square, minimum = np.absolute, np.square, np.minimum
+        if self.family == LINEAR:
+            k = self.k_operand
+
+            def linear(x):
+                out = absolute(x)
+                out *= k
+                return out
+            return linear
+        if self.k == 2.0:
+            cap_squared = self.cap_squared_operand
+
+            def capped(x):
+                out = square(x)
+                minimum(out, cap_squared, out=out)
+                return out
+        else:
+            k, cap = self.k_operand, self.cap_operand
+
+            def capped(x):
+                out = absolute(x)
+                minimum(out, cap, out=out)
+                out **= k
+                return out
+        if self.c == 1.0:  # v * 1.0 == v
+            return capped
+        c = _operand(self.c)
+
+        def scaled(x):
+            out = capped(x)
+            out *= c
+            return out
+        return scaled
+
     def __reduce__(self):
         # a pickle (a spec sent to a pool worker) carries the fields alone:
         # numpy unpickles a read-only array as a writeable one, so the
-        # operands are built again where they are read
+        # operands and the kernel are built again where they are read
         return type(self), (self.family, self.k, self.c, self.cap)
 
 
-def _operand(value: float) -> np.ndarray:
-    out = np.array(value, dtype=np.float64)
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _operand(value: float, dtype=np.float64) -> np.ndarray:
+    out = np.array(value, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -110,34 +154,36 @@ def drift_eval(spec: DriftSpec, x):
     """Evaluate f at x (scalar or ndarray); even in x and nonnegative.
 
     An array gets one new array, which every later factor updates in
-    place; x itself is never written.  A float64 array with at least one
-    axis takes the spec's 0-d operands, and for k = 2 it computes
-    min(x * x, cap * cap), which equals min(|x|, cap)^2 bit for bit because
-    correctly rounded squaring is monotone on |x|.  That fused form differs
-    in two ways that move no finite value: a NaN keeps its sign bit, and for
-    |x| above about 1.34e154 the square overflows before the min, which can
-    raise numpy's overflow flag where min-then-square does not (the value is
-    the same; rng.drive steps under errstate(over="ignore")).  Scalars, 0-d
-    input, integer arrays and other float dtypes take the Python floats, as
-    a float64 0-d operand would change float32 rounding."""
+    place; x itself is never written.  When type(x) is np.ndarray, x.dtype
+    is numpy's float64 dtype object and x.ndim > 0, x goes straight to
+    spec.kernel, built once per spec; any other float64 array (a subclass,
+    byte-swapped, or an unpickled array's equal dtype) reaches the same
+    kernel after the general tests.  The kernel takes the spec's 0-d
+    operands, and for k = 2 it computes min(x * x, cap * cap), which equals min(|x|, cap)^2
+    bit for bit because correctly rounded squaring is monotone on |x|.
+    That fused form differs in two ways that move no finite value: a NaN
+    keeps its sign bit, and for |x| above about 1.34e154 the square
+    overflows before the min, which can raise numpy's overflow flag where
+    min-then-square does not (the value is the same; rng.drive steps under
+    errstate(over="ignore")).  Scalars, 0-d input, integer arrays and
+    other float dtypes take the Python floats, as a float64 0-d operand
+    would change float32 rounding."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim:
+        return spec.kernel(x)
     if not (isinstance(x, np.ndarray) and x.ndim and x.dtype.kind == "f"):
         # scalars, 0-d input and integer arrays, which the products promote
         ax = np.abs(x)
         if spec.family == LINEAR:
             return spec.k * ax
         return spec.c * np.minimum(ax, spec.cap) ** spec.k
-    wide = x.dtype == np.float64
+    if x.dtype == np.float64:
+        return spec.kernel(x)
+    out = np.abs(x)
     if spec.family == LINEAR:
-        out = np.abs(x)
-        out *= spec.k_operand if wide else spec.k
+        out *= spec.k
         return out
-    if wide and spec.k == 2.0:
-        out = np.square(x)
-        np.minimum(out, spec.cap_squared_operand, out=out)
-    else:
-        out = np.abs(x)
-        np.minimum(out, spec.cap_operand if wide else spec.cap, out=out)
-        out **= spec.k_operand if wide else spec.k
+    np.minimum(out, spec.cap, out=out)
+    out **= spec.k
     if spec.c != 1.0:  # v * 1.0 == v
         out *= spec.c
     return out

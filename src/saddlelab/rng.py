@@ -431,11 +431,11 @@ class Record:
 
     def __init__(self, shape, n_steps: int):
         self.value = np.empty(tuple(shape) + (n_steps + 1,))
+        # step-major, as the window is, so a window is one slice of it
+        self._steps = np.moveaxis(self.value, -1, 0)
 
     def see(self, states, first, rows):
         # the recorded trials lead every part and never retire, so those
-        # among rows are the n after rows[0]; step-major, as the window is,
-        # a window is one slice
+        # among rows are the n after rows[0]
         n = int(np.searchsorted(rows, self.value.shape[-2]))
-        steps = np.moveaxis(self.value[..., rows[0]:rows[0] + n, :], -1, 0)
-        steps[first:first + len(states)] = states[..., :n]
+        self._steps[first:first + len(states), ..., rows[0]:rows[0] + n] = states[..., :n]

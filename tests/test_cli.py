@@ -481,6 +481,56 @@ class TestErrorPaths:
         assert capsys.readouterr().err == "error: need at least one trial\n"
 
 
+    @pytest.mark.parametrize("argv, field", [
+        (["linear-dichotomy", "--c", "0.5"], "c"),
+        (["linear-dichotomy", "--cap", "0.1"], "cap"),
+        (["linear-dichotomy", "--gamma", "0.6"], "gamma"),
+        (["simulate", "--family", "linear", "--gamma", "0.6"], "gamma"),
+    ], ids=["c", "cap", "gamma", "simulate-gamma"])
+    def test_linear_run_rejects_a_field_it_does_not_use(self, argv, field,
+                                                        tmp_path, capsys):
+        # k|x| on the exponential clock reads no c, cap or gamma, so a
+        # non-default value would be recorded in the manifest but not run
+        rc = main(argv + ["--k", "0.8", "--trials", "2", "--horizon", "1",
+                          "--dt", "0.1", "--jobs", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"does not use {field};" in err
+        assert "Traceback" not in err and not list(tmp_path.iterdir())
+
+
+# every experiment subcommand's common flags: (flag, value, config key,
+# the value it resolves to)
+COMMON_FLAGS = [
+    ("--k", "2.5", "k", 2.5), ("--gamma", "0.8", "gamma", 0.8),
+    ("--c", "0.5", "c", 0.5), ("--cap", "4", "cap", 4.0),
+    ("--noise", "uniform_centered", "noise", "uniform_centered"),
+    ("--noise-bound", "0.5", "noise_bound", 0.5), ("--dt", "0.01", "dt", 0.01),
+    ("--horizon", "7", "horizon", 7.0), ("--trials", "3", "trials", 3),
+    ("--seed", "11", "seed", 11), ("--eps-conv", "0.02", "eps_conv", 0.02),
+    ("--barrier", "2", "barrier", 2.0), ("--tail-fraction", "0.3", "tail_fraction", 0.3),
+    ("--x0", "-0.3", "x0", -0.3), ("--t0", "2", "t0", 2.0), ("--n0", "5", "n0", 5),
+    ("--steps", "40", "steps", 40), ("--format", "json", "out_format", "json"),
+    ("--out", "elsewhere", "out_dir", "elsewhere"), ("--jobs", "2", "jobs", 2),
+    ("--dump-trajectories", None, "dump_trajectories", True),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "linear-dichotomy",
+                                     "monomial-dichotomy", "discrete-dichotomy",
+                                     "urn"])
+def test_every_experiment_command_takes_every_common_flag(command, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dump_max": 3}))
+    argv = [command, "--config", str(cfg)]
+    for flag, value, _, _ in COMMON_FLAGS:
+        argv += [flag] if value is None else [flag, value]
+    config = resolve_config(build_parser().parse_args(argv))
+    assert config.kind == command and config.dump_max == 3
+    for flag, _, key, expected in COMMON_FLAGS:
+        assert getattr(config, key) == expected, flag
+
+
 class TestListFlags:
     @pytest.mark.parametrize("argv, key, expected", [
         (["sweep", "--k-values", "1.5,3"], "k_values", (1.5, 3.0)),

@@ -37,6 +37,19 @@ class TestNoiseSpec:
         se = 1.0 / math.sqrt(len(draws))
         assert abs(draws.mean()) <= 4 * se
 
+    @pytest.mark.parametrize("M", [1.0, 0.5])
+    def test_rademacher_fill_is_the_integers_bits_on_odd_cuts(self, M):
+        # fill writes its comparison straight into out; after an odd cut the
+        # next fill starts on the 32-bit half the last one left buffered
+        expected = (2 * make_rng(7).integers(0, 2, size=5000) - 1) * M
+        rng, got, start = make_rng(7), np.full((2, 5000), np.nan), 0
+        for length in (1, 3, 777, 2048, 1001, 1170):
+            NoiseSpec("rademacher", M).fill(rng, got[1, start:start + length])
+            start += length
+        assert start == 5000 and np.isnan(got[0]).all()
+        assert got.dtype == expected.dtype and np.array_equal(got[1], expected)
+        assert np.array_equal(np.signbit(got[1]), np.signbit(expected))
+
     def test_urn_induced_not_directly_sampleable(self):
         # The urn's g_n is not i.i.d. noise, so no NoiseSpec can carry it.
         with pytest.raises(ValueError):

@@ -124,6 +124,21 @@ class TestHypothesisValidation:
             run_dichotomy(config)
         assert "(1/2, 1)" in str(err.value)
 
+    def test_linear_sweep_over_gamma_rejected_before_any_pool(self, monkeypatch):
+        # the linear runner steps k|x| on the exponential clock whatever
+        # gamma is, so a sweep over gamma would repeat one cell's dynamics
+        sizes = []
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor",
+                            functools.partial(SerialPool, sizes))
+        config = ExperimentConfig(kind="sweep", family="linear", k_values=(0.8,),
+                                  gamma_values=(0.9, 0.6), x0=-0.1, t0=0.0,
+                                  horizon=2.0, dt=0.1, trials=4, jobs=2)
+        with pytest.raises(ValueError, match="does not use gamma; got gamma = 0.6"):
+            phase_sweep(config)
+        assert sizes == []
+        (cell,) = phase_sweep(dataclasses.replace(config, gamma_values=(0.9,)))
+        assert cell.gamma == 0.9 and sum(cell.result.counts.values()) == 4
+
 
 class TestRunners:
     def test_linear_runner_outcomes(self):

@@ -114,6 +114,85 @@ def test_drift_operands_are_cached_read_only_and_not_fields():
     assert set(manifest["config"]) == {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
+def test_plain_float64_arrays_go_through_the_cached_kernel():
+    spec = DriftSpec("monomial", 2.0, 0.7, 3.0)
+    state = np.random.default_rng(5).uniform(-5.0, 5.0, (2, 9))
+    drift_eval(spec, state[0])
+    kernel = vars(spec)["kernel"]
+    assert kernel is spec.kernel
+    # a kernel put in its place is what a plain float64 array with an axis
+    # gets, a row and a strided view included; nothing else reaches it here
+    marker = np.zeros(1)
+    vars(spec)["kernel"] = lambda x: marker
+    for x in (state, state[1], state[0, ::2]):
+        assert drift_eval(spec, x) is marker
+    for x in (state.astype(np.float32), np.arange(-3, 4), np.array(2.0), -1.5):
+        assert drift_eval(spec, x) is not marker
+    del vars(spec)["kernel"]
+    assert np.array_equal(drift_eval(spec, state), one_expression_drift(spec, state))
+
+
+@pytest.mark.parametrize("c", [1.0, 0.7])
+@pytest.mark.parametrize("cap", [0.5, 0.7, 10.0, 1e160, 1e300])
+@pytest.mark.parametrize("family, k", [("linear", 0.3), ("monomial", 2.0),
+                                       ("monomial", 3.0)])
+def test_kernel_gives_the_one_expression_values(family, k, cap, c):
+    # the edge inputs of the float64 test above, on the kernel itself: each
+    # branch (linear, fused k = 2, min-then-power, the c multiply) must be
+    # the one its spec's fields call for
+    tiny = np.finfo(float).smallest_subnormal
+    near = np.nextafter(cap, [0.0, np.inf])
+    xs = np.array([0.0, -0.0, tiny, -tiny, 2.0 ** -1030, np.inf, -np.inf, np.nan,
+                   cap, -cap, *near, *-near, math.sqrt(cap), 0.5 * cap, 0.37,
+                   -1.9, 1.34e154, -1.35e154, 1e300, -np.finfo(float).max])
+    kept = xs.copy()
+    spec = DriftSpec(family, k, c, cap)
+    with np.errstate(over="ignore"):
+        got, expected = spec.kernel(xs), one_expression_drift(spec, xs)
+    assert got.dtype == expected.dtype == np.float64
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert np.array_equal(xs, kept, equal_nan=True) and not np.shares_memory(got, xs)
+
+
+class Tagged(np.ndarray):
+    """An ndarray subclass, which drift_eval's plain-array test turns away."""
+
+
+@pytest.mark.parametrize("spec", [DriftSpec("linear", 0.3)] + [
+    DriftSpec("monomial", k, c, 0.5) for k in (2.0, 3.0) for c in (1.0, 0.7)],
+    ids=lambda spec: f"{spec.family}-k{spec.k:g}-c{spec.c:g}")
+def test_drift_eval_off_the_plain_float64_test_keeps_its_values(spec):
+    xs = np.random.default_rng(6).uniform(-3.0, 3.0, 65)
+    xs[:3] = 0.0, -0.0, spec.cap
+    # a subclass, a byte-swapped float64, an unpickled array (its float64
+    # dtype is not numpy's canonical one), float32, integers, 0-d, scalars
+    inputs = [xs.view(Tagged), xs.astype(xs.dtype.newbyteorder()),
+              pickle.loads(pickle.dumps(xs)), xs.astype(np.float32),
+              np.arange(-3, 4), np.array(-0.4), np.float64(1.3), 2]
+    for x in inputs:
+        got, expected = drift_eval(spec, x), one_expression_drift(spec, x)
+        assert type(got) is type(expected)
+        assert np.asarray(got).dtype == np.asarray(expected).dtype
+        assert np.array_equal(got, expected)
+
+
+def test_kernel_is_cached_and_not_a_field():
+    spec, plain = DriftSpec("monomial", 3.0, 0.7, 2.0), DriftSpec("monomial", 3.0, 0.7, 2.0)
+    assert spec.kernel is spec.kernel and "kernel" in vars(spec)
+    assert spec == plain and hash(spec) == hash(plain) and repr(spec) == repr(plain)
+    assert dataclasses.asdict(spec) == {"family": "monomial", "k": 3.0, "c": 0.7, "cap": 2.0}
+    # a pool worker gets the fields alone and builds its own kernel
+    sent = pickle.loads(pickle.dumps(spec))
+    assert sent == spec and "kernel" not in vars(sent)
+    xs = np.linspace(-4.0, 4.0, 33)
+    assert np.array_equal(sent.kernel(xs), spec.kernel(xs))
+    # replace builds a new spec, whose kernel follows its own fields
+    squared = dataclasses.replace(spec, k=2.0, c=1.0)
+    assert "kernel" not in vars(squared) and squared.kernel is not spec.kernel
+    assert np.array_equal(squared.kernel(xs), one_expression_drift(squared, xs))
+
+
 def test_drift_validation():
     with pytest.raises(ValueError):
         DriftSpec("linear", 0.0)
