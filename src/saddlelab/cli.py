@@ -25,9 +25,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import Outcome
-from .experiments import (ContinuousDichotomyRunner, DichotomyOutput,
-                          ExperimentConfig, phase_sweep, run_dichotomy,
-                          run_urn_experiment)
+from .experiments import (DichotomyOutput, ExperimentConfig, phase_sweep,
+                          run_dichotomy, run_urn_experiment)
 from .rng import NonFiniteStateError
 
 CSV_COLUMNS = ["k", "gamma", "prediction", "n_converged", "n_escaped",
@@ -216,10 +215,11 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 def _dump_trajectories(out: DichotomyOutput, out_dir: Path) -> None:
     """Write every state of the first dump_max counted trials, which the
     counting run recorded (they were stepped to the horizon, not retired
-    at escape), with an SDE run's grid times."""
+    at escape), with an SDE run's grid times; the recursion's times are
+    its step indices n, which the file leaves out."""
     paths = () if out.result.paths is None else out.result.paths
     arrays = {f"trial_{i}": path for i, path in enumerate(paths)}
-    if isinstance(out.runner, ContinuousDichotomyRunner):
+    if out.runner.noise is None:
         arrays = {"times": out.runner.grid.times(), **arrays}
     np.savez(out_dir / "trajectories.npz", **arrays)
 

@@ -16,7 +16,9 @@ frequency is unbiased for the continuous-time event.
 
 Batched Monte Carlo runs and single trajectories are all stepped by
 rng.drive with one update, so a trial produces bit-identical values however
-the work is partitioned.
+the work is partitioned.  The discrete recursion is this EM on the raw clock
+at unit steps, with its bounded noise in place of the Brownian increments
+(see discrete.py).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .model import NoiseSchedule, ProcessSpec, drift_eval
+from .model import POWER_GAMMA, NoiseSchedule, ProcessSpec, drift_eval
 from .rng import (Extremes, FirstViolation, NonFiniteStateError, Record,
                   derive_seed, drive, make_rng)
 
@@ -122,49 +124,69 @@ def brownian_increments(grid: TimeGrid, seed: int) -> BrownianPath:
 
 
 def _em_coefficients(noise: NoiseSchedule, grid: TimeGrid):
-    """Per-step drift weight w*dt, noise amplitude g and sqrt(dt) along the
-    grid, once the grid starts where the schedule is defined."""
+    """Per-step drift weight w*dt along the grid, and the per-step factors
+    that, applied in order, turn a step's standard draw z into its noise
+    term: sqrt(dt), then g, giving (z sqrt(dt)) g, which equals g (z
+    sqrt(dt)) bit for bit.  Raises unless the grid starts where the
+    schedule is defined.
+
+    On a grid of unit steps from a whole t0 (the recursion's), every
+    dt_i is exactly 1, so w dt is w and sqrt(dt) is left out; on the raw
+    clock w and g are then one t^-gamma array, raised in place."""
     if grid.t0 < noise.min_t0:
         raise ValueError(f"grid starts before t0 = {noise.min_t0} "
                          f"allowed by schedule {noise.kind!r}")
+    if (noise.kind == POWER_GAMMA and grid.dt == 1.0
+            and float(grid.t0).is_integer()
+            and grid.t_end == grid.t0 + grid.n_steps):
+        w = np.arange(grid.n_steps, dtype=float)
+        w += grid.t0
+        w **= -noise.gamma
+        return w, (w,)
     t = grid.times()
     dt = np.diff(t)  # grid.step_sizes(), without building the times again
     wdt = np.asarray(noise.drift_weight(t[:-1]), dtype=float) * dt
     g = np.asarray(noise.g(t[:-1]), dtype=float)
-    return wdt, g, np.sqrt(dt)
-
-
-def _em_drive(spec: ProcessSpec, grid: TimeGrid, observers, seeds=None,
-              increments=None, barrier: float | None = None) -> np.ndarray:
-    """EM states x_{i+1} = x_i + (f(x_i) w dt_i + g dW_i), one trial per
-    seed (or per row of increments), stepped by the driver in place, with
-    each product and sum in that order."""
-    wdt, g, sqrt_dt = _em_coefficients(spec.noise, grid)
-    drift = spec.drift
-
-    def update(x, step, dw):
-        # 0-d views of the step's coefficients: numpy takes them faster
-        # than floats
-        d = drift_eval(drift, x)
-        d *= wdt[step, ...]
-        d += g[step, ...] * dw
-        x += d
-
-    n_trials = len(seeds) if increments is None else len(increments)
-    return drive(np.full(n_trials, float(spec.x0)), grid.n_steps, update,
-                 observers, seeds=seeds, sample=_standard_normal, scale=sqrt_dt,
-                 increments=increments, barrier=barrier)
+    return wdt, (np.sqrt(dt), g)
 
 
 def _standard_normal(gen: np.random.Generator, out: np.ndarray) -> None:
     gen.standard_normal(out=out)
 
 
-def _path_increments(grid: TimeGrid, path: BrownianPath) -> np.ndarray:
-    """The path's increments as one trial's row, once they fit the grid."""
+def _em_drive(spec: ProcessSpec, grid: TimeGrid, observers, seeds=None,
+              increments=None, barrier: float | None = None,
+              sample=_standard_normal) -> np.ndarray:
+    """EM states x_{i+1} = x_i + (f(x_i) w dt_i + g dW_i), one trial per
+    seed (or per row of increments), stepped by the driver in place, with
+    each product and sum in that order.  A seed's stream is drawn by
+    sample (standard normals: Brownian increments) and scaled by sqrt(dt)
+    and then g as it is drawn; given increments are the g dW_i already."""
+    wdt, scale = _em_coefficients(spec.noise, grid)
+    drift = spec.drift
+
+    def update(x, step, noise):
+        # a 0-d view of the step's weight: numpy takes it faster than a float
+        d = drift_eval(drift, x)
+        d *= wdt[step, ...]
+        d += noise
+        x += d
+
+    n_trials = len(seeds) if increments is None else len(increments)
+    return drive(np.full(n_trials, float(spec.x0)), grid.n_steps, update,
+                 observers, seeds=seeds, sample=sample, scale=scale,
+                 increments=increments, barrier=barrier)
+
+
+def _path_noise(noise: NoiseSchedule, grid: TimeGrid,
+                path: BrownianPath) -> np.ndarray:
+    """The path's noise terms g dW_i as one trial's row, once the path fits
+    the grid and the grid the schedule: its increments times g, as a batch
+    scales its draws."""
     if path.grid != grid:
         raise ValueError("path was drawn on a different grid")
-    return path.increments.reshape(1, -1)
+    _, scale = _em_coefficients(noise, grid)
+    return (path.increments * scale[-1]).reshape(1, -1)  # scale ends with g
 
 
 def simulate_em(spec: ProcessSpec, grid: TimeGrid, path: BrownianPath) -> Trajectory:
@@ -176,7 +198,7 @@ def simulate_em(spec: ProcessSpec, grid: TimeGrid, path: BrownianPath) -> Trajec
     """
     record = Record((1,), grid.n_steps)
     _em_drive(spec, grid, [record],
-              increments=_path_increments(grid, path))
+              increments=_path_noise(spec.noise, grid, path))
     return Trajectory(grid.times(), record.value[0])
 
 
@@ -209,15 +231,16 @@ def _coupled_drive(spec_a: ProcessSpec, spec_b: ProcessSpec, x0_a: float,
                    x0_b: float, grid: TimeGrid, observers, seeds=None,
                    increments=None) -> np.ndarray:
     """EM pairs driven by one noise per trial (a seed, or a row of
-    increments): row 0 of the state runs spec_a's drift from x0_a, row 1
-    spec_b's from x0_b, each with _em_drive's update."""
+    increments, each the g dW_i of _em_drive): row 0 of the state runs
+    spec_a's drift from x0_a, row 1 spec_b's from x0_b, each with
+    _em_drive's update."""
     if spec_a.noise != spec_b.noise:
         raise ValueError("coupled processes must share one noise schedule")
-    wdt, g, sqrt_dt = _em_coefficients(spec_a.noise, grid)
+    wdt, scale = _em_coefficients(spec_a.noise, grid)
     drift_a, drift_b = spec_a.drift, spec_b.drift
 
-    def update(x, step, dw):
-        noise, w = g[step, ...] * dw, wdt[step, ...]
+    def update(x, step, noise):
+        w = wdt[step, ...]
         for row, drift in ((x[0], drift_a), (x[1], drift_b)):
             d = drift_eval(drift, row)
             d *= w
@@ -227,7 +250,7 @@ def _coupled_drive(spec_a: ProcessSpec, spec_b: ProcessSpec, x0_a: float,
     state = np.empty((2, len(seeds) if increments is None else len(increments)))
     state[0], state[1] = x0_a, x0_b
     return drive(state, grid.n_steps, update, observers, seeds=seeds,
-                 sample=_standard_normal, scale=sqrt_dt, increments=increments)
+                 sample=_standard_normal, scale=scale, increments=increments)
 
 
 def simulate_coupled(spec_a: ProcessSpec, spec_b: ProcessSpec,
@@ -237,7 +260,7 @@ def simulate_coupled(spec_a: ProcessSpec, spec_b: ProcessSpec,
     pair equals coupled_violations_batch's trial on the same noise."""
     record = Record((2, 1), grid.n_steps)
     _coupled_drive(spec_a, spec_b, x0_a, x0_b, grid, [record],
-                   increments=_path_increments(grid, path))
+                   increments=_path_noise(spec_a.noise, grid, path))
     times = grid.times()
     return Trajectory(times, record.value[0, 0]), Trajectory(times, record.value[1, 0])
 

@@ -5,7 +5,11 @@ The canonical recursion is
     X_{n+1} = X_n + f(X_n)/n^gamma + Y_{n+1}/n^gamma,   gamma in (1/2, 1),
 
 with Y a martingale difference, |Y| <= M almost surely and conditional
-variance at least l.  The urn process
+variance at least l.  It is Euler-Maruyama for dX = f(X)/t^gamma dt +
+1/t^gamma dB on the raw clock at unit steps: the step at t = n with dt = 1,
+with the bounded Y_{n+1} in place of the Brownian increment.  So it runs
+on continuous._em_drive, with NoiseSchedule("power_gamma", gamma) on the
+unit grid from n0 and NoiseSpec.fill drawing Y.  The urn process
 
     X_{n+1} = (n X_n + 1)/(n + 1)  w.p. f(X_n),  else  n X_n/(n + 1)
 
@@ -28,8 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuous import Trajectory
-from .model import DriftSpec, MeanFlowFrame, _operand, drift_eval, mean_flow_h
+from .continuous import TimeGrid, Trajectory, _em_drive
+from .model import (POWER_GAMMA, DriftSpec, MeanFlowFrame, NoiseSchedule,
+                    ProcessSpec, _operand, mean_flow_h)
+# not called here (the recursion steps in continuous), but bench/tracing.py
+# wraps drift_eval on this module as on the others that import it
+from .model import drift_eval  # noqa: F401
 from .rng import (NOISE_CHUNK, Extremes, Record, chunk_ranges, drive, make_rng,
                   stream_keys)
 
@@ -107,35 +115,24 @@ class NoiseSpec:
             out += -self.M
 
 
-def _sgd_drive(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: float,
-               n0: int, n_end: int, seeds, observers,
-               barrier: float | None = None) -> np.ndarray:
-    """X_{n+1} = X_n + (f(X_n)/n^gamma + Y_{n+1}/n^gamma), one trial per seed,
-    stepped by the driver in place, with each product and sum in that
-    order; noise=None runs the noise-free recursion."""
+def _as_em(drift: DriftSpec, gamma: float, x0: float, n0: int,
+           n_end: int) -> tuple[ProcessSpec, TimeGrid]:
+    """The recursion from X_{n0} = x0 to n_end as raw-clock EM: its spec,
+    f with g(t) = t^-gamma from t0 = n0, and its unit grid."""
     if not 0.5 < gamma < 1.0:
         raise ValueError("discrete recursion requires gamma in (1/2, 1)")
     if not (n0 >= 1 and n_end > n0):
         raise ValueError("need n0 >= 1 and n_end > n0")
-    steps = n_end - n0
-    inv_ng = np.arange(n0, n_end, dtype=float)
-    inv_ng **= -gamma
+    return (ProcessSpec(drift, NoiseSchedule(POWER_GAMMA, gamma), t0=n0, x0=x0),
+            TimeGrid(n0, n_end, 1.0))
 
-    def update(x, step, yh):
-        # yh is Y_{n+1}/n^gamma, scaled by the driver (0 on the noise-free
-        # path, where 0 * h == 0 makes scaling moot)
-        d = drift_eval(drift, x)
-        d *= inv_ng[step, ...]  # a 0-d view: numpy takes it faster than a float
-        d += yh
-        x += d
 
-    x = np.full(len(seeds), float(x0))
+def _em_noise(noise: NoiseSpec | None, seeds, n_steps: int) -> dict:
+    """_em_drive's noise for these trials: Y drawn from each seed's stream
+    by noise.fill, or zero increments (a broadcast view) for noise=None."""
     if noise is None:
-        return drive(x, steps, update, observers,
-                     increments=np.broadcast_to(0.0, (len(seeds), steps)),
-                     barrier=barrier)
-    return drive(x, steps, update, observers, seeds=seeds, sample=noise.fill,
-                 scale=inv_ng, barrier=barrier)
+        return {"increments": np.broadcast_to(0.0, (len(seeds), n_steps))}
+    return {"seeds": seeds, "sample": noise.fill}
 
 
 def simulate_sgd(drift: DriftSpec, gamma: float, noise: NoiseSpec | None,
@@ -144,12 +141,13 @@ def simulate_sgd(drift: DriftSpec, gamma: float, noise: NoiseSpec | None,
     the trajectory's times are n = n0..n_end.  noise=None runs the
     noise-free recursion.
     """
-    record = Record((1,), n_end - n0)
-    _sgd_drive(drift, gamma, noise, x0, n0, n_end, [seed], [record])
-    return Trajectory(np.arange(n0, n_end + 1, dtype=float), record.value[0])
+    spec, grid = _as_em(drift, gamma, x0, n0, n_end)
+    record = Record((1,), grid.n_steps)
+    _em_drive(spec, grid, [record], **_em_noise(noise, [seed], grid.n_steps))
+    return Trajectory(grid.times(), record.value[0])
 
 
-def sgd_batch(drift: DriftSpec, gamma: float, noise: NoiseSpec, x0: float,
+def sgd_batch(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: float,
               n0: int, n_end: int, seeds,
               tail_start: float | None = None,
               barrier: float | None = None,
@@ -157,17 +155,20 @@ def sgd_batch(drift: DriftSpec, gamma: float, noise: NoiseSpec, x0: float,
     """One recursion per seed, stepped together; returns each trial's
     running extremes over n = n0..n_end, with the tail from n = tail_start
     on (the whole path when None), and its final state.  Per-seed results
-    match simulate_sgd exactly.  With a barrier the run classifies (see
-    rng.drive): a trial whose max passed the barrier retires at the next
-    chunk end, and its final and tail_abs_max are its values at
-    retirement.  A `record` receives every state of its leading trials,
-    which are stepped to n_end: row i is simulate_sgd's values at
-    seeds[i]."""
+    match simulate_sgd exactly, and noise=None runs the noise-free
+    recursion.  With a barrier the run classifies (see rng.drive): a trial
+    whose max passed the barrier retires at the next chunk end, and its
+    final and tail_abs_max are its values at retirement.  A `record`
+    receives every state of its leading trials, which are stepped to
+    n_end: row i is simulate_sgd's values at seeds[i]."""
     seeds = np.asarray(list(seeds), dtype=np.uint64)
-    extremes = Extremes(len(seeds), np.arange(n0, n_end + 1, dtype=float), tail_start)
+    spec, grid = _as_em(drift, gamma, x0, n0, n_end)
+    # the node times as one array; grid.times() makes two more on the way
+    extremes = Extremes(len(seeds), np.arange(n0, n_end + 1, dtype=float),
+                        tail_start)
     observers = [extremes] if record is None else [extremes, record]
-    extremes.final = _sgd_drive(drift, gamma, noise, x0, n0, n_end, seeds,
-                                observers, barrier)
+    extremes.final = _em_drive(spec, grid, observers, barrier=barrier,
+                               **_em_noise(noise, seeds, grid.n_steps))
     return extremes
 
 

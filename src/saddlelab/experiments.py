@@ -26,9 +26,12 @@ estimate_probability call.  That call gets the cells predicted to
 converge first, since their trials run to the horizon while escaping
 trials retire at the barrier; the outputs come back in cell order.
 
-Experiment runners are plain frozen dataclasses mapping a block of trial
-seeds to (outcomes, paths), so they pickle cleanly onto worker processes.
-A runner names the model whose prediction applies (`model`); paths holds
+Every dichotomy cell, SDE or recursion, has one runner, DichotomyRunner:
+a plain frozen dataclass mapping a block of trial seeds to (outcomes,
+paths), so it pickles cleanly onto worker processes.  It holds the cell's
+ProcessSpec and TimeGrid (the recursion's are raw-clock EM at unit steps),
+its classifier, the model whose prediction applies (`model`) and the
+recursion's bounded noise (`noise`, None for Brownian noise); paths holds
 every state of the first `dump` trials it counts, recorded by the counting
 run (--dump-trajectories) so they are never simulated twice, and is None
 when dump is 0.
@@ -51,29 +54,19 @@ from .rng import Record, derive_seed
 
 __all__ = [
     "ExperimentConfig",
-    "ContinuousDichotomyRunner",
-    "DiscreteDichotomyRunner",
+    "DichotomyRunner",
     "run_dichotomy",
     "run_urn_experiment",
     "phase_sweep",
 ]
 
 
-def _head_record(runner, seeds, n_steps: int) -> Record | None:
-    """The record of the first runner.dump of these trials, if any."""
-    n = min(runner.dump, len(seeds))
-    return Record((n,), n_steps) if n else None
-
-
-def _counted(runner, stats, record):
-    outcomes = classify_stats(stats.max_value, stats.tail_abs_max, runner.cfg)
-    return outcomes, None if record is None else record.value
-
-
 @dataclass(frozen=True)
-class ContinuousDichotomyRunner:
-    """EM trials of one SDE instance on its grid, classified from their
-    running stats.
+class DichotomyRunner:
+    """Trials of one dichotomy cell on its grid, classified from their
+    running stats: EM with Brownian noise when noise is None, else the
+    recursion, stepped by disc.sgd_batch (which builds the same raw-clock
+    spec and unit grid) with this bounded noise.
 
     A call returns (outcomes, paths).  With a positive dump the first dump
     trials are stepped to the horizon and recorded by the same run,
@@ -82,46 +75,23 @@ class ContinuousDichotomyRunner:
     spec: ProcessSpec
     grid: cont.TimeGrid
     cfg: ClassifierConfig
+    model: str
+    noise: disc.NoiseSpec | None = None
     dump: int = 0
 
-    @property
-    def model(self) -> str:
-        return self.spec.drift.family
-
     def __call__(self, seeds):
-        grid = self.grid
-        record = _head_record(self, seeds, grid.n_steps)
-        stats = cont.em_batch(self.spec, grid, seeds,
-                              tail_start=self.cfg.tail_start(grid.t0, grid.t_end),
-                              barrier=self.cfg.barrier, record=record)
-        return _counted(self, stats, record)
-
-
-@dataclass(frozen=True)
-class DiscreteDichotomyRunner:
-    """Trials of one discrete recursion, classified from their running stats.
-
-    A call returns (outcomes, paths).  With a positive dump the first dump
-    trials are stepped to n_end and recorded by the same run, paths[i]
-    holding X_{n0..n_end} of trial i; else paths is None."""
-
-    drift: DriftSpec
-    noise: disc.NoiseSpec
-    gamma: float
-    x0: float
-    n0: int
-    n_end: int
-    cfg: ClassifierConfig
-    dump: int = 0
-    model = "discrete"
-
-    def __call__(self, seeds):
-        record = _head_record(self, seeds, self.n_end - self.n0)
-        stats = disc.sgd_batch(self.drift, self.gamma, self.noise, self.x0,
-                               self.n0, self.n_end, seeds,
-                               tail_start=self.cfg.tail_start(self.n0, self.n_end),
-                               barrier=self.cfg.barrier, record=record)
-        return _counted(self, stats, record)
+        spec, grid = self.spec, self.grid
+        n = min(self.dump, len(seeds))
+        record = Record((n,), grid.n_steps) if n else None
+        batch_args = {"tail_start": self.cfg.tail_start(grid.t0, grid.t_end),
+                      "barrier": self.cfg.barrier, "record": record}
+        if self.noise is None:
+            stats = cont.em_batch(spec, grid, seeds, **batch_args)
+        else:
+            stats = disc.sgd_batch(spec.drift, spec.noise.gamma, self.noise,
+                                   spec.x0, grid.t0, grid.t_end, seeds, **batch_args)
+        outcomes = classify_stats(stats.max_value, stats.tail_abs_max, self.cfg)
+        return outcomes, None if record is None else record.value
 
 
 @dataclass(frozen=True)
@@ -213,7 +183,7 @@ def _type_mismatch(default, value) -> str | None:
 
 @dataclass(eq=False)
 class DichotomyOutput:
-    runner: ContinuousDichotomyRunner | DiscreteDichotomyRunner
+    runner: DichotomyRunner
     result: MCResult
     k: float
     gamma: float
@@ -252,14 +222,13 @@ def _build_runner(config: ExperimentConfig, k: float, gamma: float):
         if not 0.5 < gamma < 1.0:
             raise ValueError("discrete dichotomy requires gamma in (1/2, 1) "
                              "(step-size hypothesis)")
-        n_end = config.n0 + config.steps
-        if not (config.n0 >= 1 and n_end > config.n0):
-            raise ValueError("need n0 >= 1 and n_end > n0")
-        cfg = _classifier(config, config.n0, n_end, 3.0, lambda _, n_tail: min(
+        spec, grid = disc._as_em(drift, gamma, config.x0, config.n0,
+                                 config.n0 + config.steps)
+        cfg = _classifier(config, grid.t0, grid.t_end, 3.0, lambda _, n_tail: min(
             3.0 * (1.0 - gamma) * n_tail ** (-(1.0 - gamma)), 0.1))
-        return DiscreteDichotomyRunner(
-            drift=drift, noise=disc.NoiseSpec(config.noise, config.noise_bound),
-            gamma=gamma, x0=config.x0, n0=config.n0, n_end=n_end, cfg=cfg)
+        return DichotomyRunner(
+            spec=spec, grid=grid, cfg=cfg, model="discrete",
+            noise=disc.NoiseSpec(config.noise, config.noise_bound))
     if kind == "linear":
         # k|x| on the exponential clock reads no c, cap or gamma, so a value
         # other than the default would be recorded but not run
@@ -290,9 +259,10 @@ def _build_runner(config: ExperimentConfig, k: float, gamma: float):
         default_barrier, band = 3.0, lambda _, t_tail: min(
             2.5 * t_tail ** (1.0 / (1.0 - k)), 0.1)
     grid = cont.TimeGrid(config.t0, config.horizon, config.dt)
-    return ContinuousDichotomyRunner(
+    return DichotomyRunner(
         spec=spec, grid=grid,
-        cfg=_classifier(config, grid.t0, grid.t_end, default_barrier, band))
+        cfg=_classifier(config, grid.t0, grid.t_end, default_barrier, band),
+        model=spec.drift.family)
 
 
 def _run_cells(config: ExperimentConfig, cells, seeds,

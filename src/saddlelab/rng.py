@@ -252,7 +252,7 @@ class NonFiniteStateError(RuntimeError):
 
 @np.errstate(over="ignore", invalid="ignore")  # the first bad step is raised instead
 def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
-          seeds=None, sample=None, scale=None, increments=None,
+          seeds=None, sample=None, scale=(), increments=None,
           barrier: float | None = None) -> np.ndarray:
     """Advance `state` in place through n_steps steps and return it.
 
@@ -272,8 +272,10 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
     noise comes either from a given `increments` array (trials x n_steps,
     only read, so a broadcast view will do), or from one generator per
     seed: sample(gen, out) fills `out` with the next len(out) values of a
-    trial's stream, and the per-step `scale`, if given, multiplies the
-    drawn block in place.
+    trial's stream, and each per-step array in `scale`, in order,
+    multiplies the drawn block in place (EM's sqrt(dt) and then g, which
+    make a block of standard normals the steps' g dW; a given increments
+    array is not scaled).
 
     A run with a barrier classifies: its observers are an Extremes and,
     optionally, a Record of the leading trials of the state.  A trial whose
@@ -328,8 +330,8 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
                 block = buffer[:len(gens), :b - a]
                 for row, gen in zip(block, gens):
                     sample(gen, row)
-                if scale is not None:
-                    block *= scale[a:b]
+                for factor in scale:
+                    block *= factor[a:b]
             start = x.copy()
             if not observers:
                 for i, noise in enumerate(block.T, a):

@@ -213,11 +213,23 @@ class TestEulerMaruyama:
         assert band.value.mean() > 0.0
 
 
+RAW = NoiseSchedule("power_gamma", 0.7)
+# unit steps on the raw clock: from a whole t0 every dt is exactly 1, so EM
+# leaves sqrt(dt) out and takes one t^-gamma array as both w dt and g.  A
+# short last step misses that branch, and so does t0 = 1.1, some of whose
+# steps differ from 1 in the last bit
+UNIT_GRIDS = [TimeGrid(1.0, 401.0, 1.0), TimeGrid(1.0, 400.5, 1.0),
+              TimeGrid(1.1, 401.1, 1.0)]
+
+
 @pytest.mark.parametrize("drift", IN_PLACE_DRIFTS, ids=IN_PLACE_IDS)
-@IN_PLACE_SCHEDULES
-def test_in_place_em_update_equals_the_plain_loop(drift, schedule, t0):
+@pytest.mark.parametrize("schedule, t0, grid", [
+    (EXP, 0.0, None), (RAW, 1.0, None), *((RAW, g.t0, g) for g in UNIT_GRIDS)],
+    ids=["exp_half", "power_gamma", "power_gamma-unit",
+         "power_gamma-unit-short-last", "power_gamma-unit-t0-1.1"])
+def test_in_place_em_update_equals_the_plain_loop(drift, schedule, t0, grid):
     spec = ProcessSpec(drift, schedule, t0=t0, x0=-0.6)
-    grid = TimeGrid(t0, t0 + 4.0, 5e-3)
+    grid = grid or TimeGrid(t0, t0 + 4.0, 5e-3)
     seeds = [derive_seed(19, i) for i in range(5)]
     dw = np.array([brownian_increments(grid, s).increments for s in seeds])
     record = Record((len(seeds),), grid.n_steps)

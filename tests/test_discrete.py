@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from saddlelab.discrete import (NoiseSpec, _sgd_drive, sgd_batch, simulate_sgd,
+from saddlelab.continuous import TimeGrid
+from saddlelab.discrete import (NoiseSpec, sgd_batch, simulate_sgd,
                                 step_correction, z_diagnostics)
-from saddlelab.model import DriftSpec, MeanFlowFrame, mean_flow_h
+from saddlelab.model import (DriftSpec, MeanFlowFrame, NoiseSchedule, ProcessSpec,
+                             mean_flow_h)
 from saddlelab.rng import NOISE_CHUNK, Record, chunk_ranges, derive_seed, make_rng
 
-from helpers import draw, first_bad_step, sgd_reference, traced_peak
+from helpers import draw, em_reference, first_bad_step, sgd_reference, traced_peak
 
 MONO = DriftSpec("monomial", 2.0, 1.0, 10.0)
 
@@ -81,8 +83,8 @@ class TestSgdRecursion:
 
         def run():
             record = Record((len(seeds),), 250_000)
-            _sgd_drive(DriftSpec("monomial", 2.0), 0.9, None, -0.2, 10, 250_010,
-                       seeds, [record])
+            sgd_batch(DriftSpec("monomial", 2.0), 0.9, None, -0.2, 10, 250_010,
+                      seeds, record=record)
             return record
 
         record, peak = traced_peak(run)
@@ -187,6 +189,14 @@ def test_in_place_update_equals_the_plain_loop(drift, noise):
     sgd_batch(drift, 0.6, noise, -0.6, 1, 2001, seeds, record=record)
     expected = sgd_reference(drift, 0.6, noise, -0.6, 1, 2001, seeds)
     assert np.array_equal(record.value, expected)
+    final = sgd_batch(drift, 0.6, noise, -0.6, 1, 2001, seeds).final
+    assert np.array_equal(final, expected[:, -1])
+    # the recursion's loop is EM's on the raw clock at unit steps, with the
+    # draws Y in place of the Brownian increments
+    spec = ProcessSpec(drift, NoiseSchedule("power_gamma", 0.6), t0=1, x0=-0.6)
+    y = (np.zeros((len(seeds), 2000)) if noise is None else
+         np.array([draw(noise, make_rng(s), 2000) for s in seeds]))
+    assert np.array_equal(em_reference(spec, TimeGrid(1, 2001, 1.0), y), expected)
 
 
 class TestZDiagnostics:

@@ -8,10 +8,9 @@ from saddlelab import analysis
 from saddlelab.analysis import ClassifierConfig, Outcome, classify
 from saddlelab.continuous import TimeGrid
 from saddlelab.discrete import NoiseSpec, simulate_sgd
-from saddlelab.experiments import (ContinuousDichotomyRunner,
-                                   DiscreteDichotomyRunner, ExperimentConfig,
+from saddlelab.experiments import (DichotomyRunner, ExperimentConfig,
                                    _build_runner, phase_sweep, run_dichotomy)
-from saddlelab.model import DriftSpec
+from saddlelab.model import DriftSpec, NoiseSchedule, ProcessSpec
 from saddlelab.rng import derive_seed
 
 from helpers import SerialPool
@@ -145,7 +144,8 @@ class TestRunners:
         config = ExperimentConfig(kind="linear-dichotomy", k=0.8, x0=-0.1,
                                   t0=0.0, horizon=4.0, dt=1e-2)
         runner = _build_runner(config, 0.8, config.gamma)
-        assert isinstance(runner, ContinuousDichotomyRunner)
+        assert isinstance(runner, DichotomyRunner)
+        assert runner.model == "linear" and runner.noise is None
         assert runner.grid == TimeGrid(0.0, 4.0, 1e-2)
         outcomes, paths = runner([derive_seed(1, i) for i in range(16)])
         assert paths is None
@@ -183,10 +183,12 @@ class TestRunners:
     def test_discrete_runner_outcomes(self):
         config = ExperimentConfig(kind="discrete-dichotomy", n0=10, steps=2000)
         runner = _build_runner(config, 2.0, 0.9)
-        assert runner == DiscreteDichotomyRunner(
-            drift=DriftSpec("monomial", 2.0, 1.0, 10.0),
-            noise=NoiseSpec("rademacher", 1.0), gamma=0.9, x0=-0.2, n0=10,
-            n_end=2010, cfg=runner.cfg)
+        # the recursion is raw-clock EM at unit steps from n0
+        assert runner == DichotomyRunner(
+            spec=ProcessSpec(DriftSpec("monomial", 2.0, 1.0, 10.0),
+                             NoiseSchedule("power_gamma", 0.9), t0=10, x0=-0.2),
+            grid=TimeGrid(10, 2010, 1.0), cfg=runner.cfg, model="discrete",
+            noise=NoiseSpec("rademacher", 1.0))
         outcomes, paths = runner([derive_seed(2, i) for i in range(8)])
         assert paths is None
         assert len(outcomes) == 8
@@ -197,8 +199,10 @@ class TestRunners:
         cfg = ClassifierConfig(eps_conv=0.19, barrier=3.0, tail_fraction=0.2)
         drift = DriftSpec("monomial", 2.0, 1.0, 10.0)
         noise = NoiseSpec("uniform_centered", 0.05)
-        runner = DiscreteDichotomyRunner(drift=drift, noise=noise, gamma=0.9,
-                                         x0=-0.2, n0=10, n_end=17, cfg=cfg)
+        runner = DichotomyRunner(
+            spec=ProcessSpec(drift, NoiseSchedule("power_gamma", 0.9), t0=10,
+                             x0=-0.2),
+            grid=TimeGrid(10, 17, 1.0), cfg=cfg, model="discrete", noise=noise)
         seeds = [derive_seed(0, i) for i in range(400)]
         single = [classify(simulate_sgd(drift, 0.9, noise, -0.2, 10, 17, s), cfg)
                   for s in seeds]

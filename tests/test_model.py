@@ -106,7 +106,7 @@ def test_drift_operands_are_cached_read_only_and_not_fields():
     assert (wider.k_operand, wider.cap_operand, wider.cap_squared_operand) == (3.0, 5.0, 25.0)
     # a run's manifest holds the config's fields, whatever its specs cached
     config = ExperimentConfig(kind="discrete-dichotomy", n0=10, steps=100, trials=4)
-    drift = _build_runner(config, 2.0, 0.9).drift
+    drift = _build_runner(config, 2.0, 0.9).spec.drift
     drift_eval(drift, np.zeros(4))
     assert "cap_squared_operand" in vars(drift)
     manifest = make_manifest(config, {}, 0.0)

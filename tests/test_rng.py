@@ -462,14 +462,14 @@ def test_retired_trials_are_not_stepped(monkeypatch, model, cap):
     # end; five trials under a cap of ten draw chunks twice as long
     monkeypatch.setattr(rng, "TRIAL_CAP", cap)
     calls = []
-    module = continuous if model == "continuous" else discrete
-    drift_eval = module.drift_eval
+    # the recursion steps as EM, so both models call continuous's drift_eval
+    drift_eval = continuous.drift_eval
 
     def counted(spec, x):
         calls.append(len(x))
         return drift_eval(spec, x)
 
-    monkeypatch.setattr(module, "drift_eval", counted)
+    monkeypatch.setattr(continuous, "drift_eval", counted)
     seeds = [derive_seed(63, i) for i in range(5)]
     if model == "continuous":
         spec = ProcessSpec(DriftSpec("monomial", 2.0),
