@@ -59,6 +59,10 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self):
+        for name in ("t0", "t_end", "dt"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not self.t_end > self.t0:
@@ -77,7 +81,10 @@ class TimeGrid:
         return self._n_full() + (1 if self.short_last_step else 0)
 
     def times(self) -> np.ndarray:
-        t = self.t0 + self.dt * np.arange(self.n_steps + 1)
+        """The nodes t0 + dt i, i = 0..n_steps, with t_end last, in one array."""
+        t = np.arange(self.n_steps + 1, dtype=float)
+        t *= self.dt
+        t += self.t0
         t[-1] = self.t_end
         return t
 
@@ -139,8 +146,7 @@ def _em_coefficients(noise: NoiseSchedule, grid: TimeGrid):
     if (noise.kind == POWER_GAMMA and grid.dt == 1.0
             and float(grid.t0).is_integer()
             and grid.t_end == grid.t0 + grid.n_steps):
-        w = np.arange(grid.n_steps, dtype=float)
-        w += grid.t0
+        w = grid.times()[:-1]
         w **= -noise.gamma
         return w, (w,)
     t = grid.times()

@@ -163,9 +163,7 @@ def sgd_batch(drift: DriftSpec, gamma: float, noise: NoiseSpec | None, x0: float
     n_end: row i is simulate_sgd's values at seeds[i]."""
     seeds = np.asarray(list(seeds), dtype=np.uint64)
     spec, grid = _as_em(drift, gamma, x0, n0, n_end)
-    # the node times as one array; grid.times() makes two more on the way
-    extremes = Extremes(len(seeds), np.arange(n0, n_end + 1, dtype=float),
-                        tail_start)
+    extremes = Extremes(len(seeds), grid.times(), tail_start)
     observers = [extremes] if record is None else [extremes, record]
     extremes.final = _em_drive(spec, grid, observers, barrier=barrier,
                                **_em_noise(noise, seeds, grid.n_steps))
@@ -196,7 +194,7 @@ class UrnSpec:
             raise ValueError("power feedback needs a positive exponent")
         if self.f_kind == "table":
             tab = np.asarray(self.table, dtype=float)
-            if len(tab) < 2 or np.any(tab < 0) or np.any(tab > 1):
+            if len(tab) < 2 or not np.all((tab >= 0) & (tab <= 1)):
                 raise ValueError("table feedback needs >= 2 values in [0, 1]")
         if not (0 < self.red0 < self.total0):
             raise ValueError("need 0 < red0 < total0 so X stays inside (0, 1)")

@@ -78,31 +78,18 @@ class DriftSpec:
             if not self.cap > 0:
                 raise ValueError("monomial drift requires cap > 0")
 
-    # k, cap and cap * cap as read-only 0-d float64 arrays, built on first
-    # use: numpy takes a 0-d array operand 150-200 ns faster than a Python
-    # float.  They are not fields, so ==, hash, repr and asdict never see them
-    @cached_property
-    def k_operand(self) -> np.ndarray:
-        return _operand(self.k)
-
-    @cached_property
-    def cap_operand(self) -> np.ndarray:
-        return _operand(self.cap)
-
-    @cached_property
-    def cap_squared_operand(self) -> np.ndarray:
-        return _operand(self.cap * self.cap)
-
     @cached_property
     def kernel(self):
         """f on a float64 ndarray with at least one axis, into one new array,
-        with the family, k = 2 and c != 1 decided here, once per spec, from
-        the 0-d operands.  k = 2 computes min(x * x, cap * cap): see
-        drift_eval for why that equals min(|x|, cap)^2."""
+        with the family, k = 2 and c != 1 decided here, once per spec.  Its
+        k, c, cap and cap * cap are read-only 0-d float64 arrays built here,
+        which numpy takes 150-200 ns faster than Python floats.  k = 2
+        computes min(x * x, cap * cap): see drift_eval for why that equals
+        min(|x|, cap)^2."""
         # the ufuncs as closure cells: no module lookup per call
         absolute, square, minimum = np.absolute, np.square, np.minimum
         if self.family == LINEAR:
-            k = self.k_operand
+            k = _operand(self.k)
 
             def linear(x):
                 out = absolute(x)
@@ -110,14 +97,14 @@ class DriftSpec:
                 return out
             return linear
         if self.k == 2.0:
-            cap_squared = self.cap_squared_operand
+            cap_squared = _operand(self.cap * self.cap)
 
             def capped(x):
                 out = square(x)
                 minimum(out, cap_squared, out=out)
                 return out
         else:
-            k, cap = self.k_operand, self.cap_operand
+            k, cap = _operand(self.k), _operand(self.cap)
 
             def capped(x):
                 out = absolute(x)
@@ -136,8 +123,8 @@ class DriftSpec:
 
     def __reduce__(self):
         # a pickle (a spec sent to a pool worker) carries the fields alone:
-        # numpy unpickles a read-only array as a writeable one, so the
-        # operands and the kernel are built again where they are read
+        # the cached kernel is a closure, which does not pickle, so it is
+        # built again where it is first read
         return type(self), (self.family, self.k, self.c, self.cap)
 
 
@@ -153,40 +140,25 @@ def _operand(value: float, dtype=np.float64) -> np.ndarray:
 def drift_eval(spec: DriftSpec, x):
     """Evaluate f at x (scalar or ndarray); even in x and nonnegative.
 
-    An array gets one new array, which every later factor updates in
-    place; x itself is never written.  When type(x) is np.ndarray, x.dtype
-    is numpy's float64 dtype object and x.ndim > 0, x goes straight to
-    spec.kernel, built once per spec; any other float64 array (a subclass,
-    byte-swapped, or an unpickled array's equal dtype) reaches the same
-    kernel after the general tests.  The kernel takes the spec's 0-d
-    operands, and for k = 2 it computes min(x * x, cap * cap), which equals min(|x|, cap)^2
-    bit for bit because correctly rounded squaring is monotone on |x|.
-    That fused form differs in two ways that move no finite value: a NaN
-    keeps its sign bit, and for |x| above about 1.34e154 the square
-    overflows before the min, which can raise numpy's overflow flag where
-    min-then-square does not (the value is the same; rng.drive steps under
-    errstate(over="ignore")).  Scalars, 0-d input, integer arrays and
-    other float dtypes take the Python floats, as a float64 0-d operand
-    would change float32 rounding."""
+    x itself is never written.  When type(x) is np.ndarray, x.dtype is
+    numpy's float64 dtype object and x.ndim > 0 (every state a run steps),
+    x goes to spec.kernel, built once per spec, which makes one new array
+    and updates it in place.  For k = 2 the kernel computes
+    min(x * x, cap * cap), which equals min(|x|, cap)^2 bit for bit because
+    correctly rounded squaring is monotone on |x|.  That fused form
+    differs in two ways that move no finite value: a NaN keeps its sign
+    bit, and for |x| above about 1.34e154 the square overflows before the
+    min, which can raise numpy's overflow flag where min-then-square does
+    not (the value is the same; rng.drive steps under
+    errstate(over="ignore")).  Every other input (a scalar, 0-d, integer,
+    other-float or subclass array, or a float64 array whose equal dtype is
+    not numpy's own object, as after unpickling) takes the one expression
+    k |x| or c min(|x|, cap)^k, which keeps float32 in float32."""
     if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim:
         return spec.kernel(x)
-    if not (isinstance(x, np.ndarray) and x.ndim and x.dtype.kind == "f"):
-        # scalars, 0-d input and integer arrays, which the products promote
-        ax = np.abs(x)
-        if spec.family == LINEAR:
-            return spec.k * ax
-        return spec.c * np.minimum(ax, spec.cap) ** spec.k
-    if x.dtype == np.float64:
-        return spec.kernel(x)
-    out = np.abs(x)
     if spec.family == LINEAR:
-        out *= spec.k
-        return out
-    np.minimum(out, spec.cap, out=out)
-    out **= spec.k
-    if spec.c != 1.0:  # v * 1.0 == v
-        out *= spec.c
-    return out
+        return spec.k * np.abs(x)
+    return spec.c * np.minimum(np.abs(x), spec.cap) ** spec.k
 
 
 @dataclass(frozen=True)
@@ -219,7 +191,7 @@ class NoiseSchedule:
 
     def drift_weight(self, t):
         if self.kind == POWER_GAMMA:
-            return np.asarray(t, dtype=float) ** (-self.gamma)
+            return self.g(t)
         return np.ones_like(np.asarray(t, dtype=float))
 
     @property

@@ -474,6 +474,21 @@ class TestErrorPaths:
                 == "error: config key 'dump_max' must be at least 0, got -1\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--horizon", "inf", "--eps-conv", "0.01"], "t_end must be finite, got inf"),
+        (["--horizon", "inf"], "t_end must be finite, got inf"),
+        (["--dt", "inf", "--horizon", "5"], "dt must be finite, got inf"),
+    ], ids=["horizon-eps-conv", "horizon", "dt"])
+    def test_non_finite_grid_is_an_error_line(self, argv, named, tmp_path, capsys):
+        # the grid names the field before any default eps_conv reads the
+        # horizon and before any trial is stepped
+        rc = main(["simulate", "--model", "continuous", *argv, "--trials", "2",
+                   "--jobs", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {named}\n" and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_urn_without_trials_is_an_error_line(self, tmp_path, capsys):
         rc = main(["urn", "--trials", "0", "--steps", "10", "--jobs", "1",
                    "--out", str(tmp_path)])

@@ -80,6 +80,27 @@ class TestTimeGrid:
             TimeGrid(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             TimeGrid(2.0, 1.0, 0.1)
+        # an infinite horizon, step or start passes the order tests, so
+        # each field is named as not finite before the grid is counted
+        for args, named in [((1.0, math.inf, 0.01), "t_end"),
+                            ((1.0, 5.0, math.inf), "dt"),
+                            ((-math.inf, 5.0, 0.01), "t0"),
+                            ((1.0, 5.0, math.nan), "dt")]:
+            with pytest.raises(ValueError, match=f"^{named} must be finite"):
+                TimeGrid(*args)
+
+    @pytest.mark.parametrize("t0, t_end, dt", [
+        (10, 20010, 1), (1.1, 401, 1), (1, 400.5, 1), (1, 200, 1e-3), (0, 15, 1e-3)])
+    def test_times_are_the_one_expression_in_one_array(self, t0, t_end, dt):
+        # fields given as ints still make float times, t_end = 400.5 included
+        grid = TimeGrid(t0, t_end, dt)
+        expected = float(t0) + float(dt) * np.arange(grid.n_steps + 1)
+        expected[-1] = t_end
+        t, peak = traced_peak(grid.times)
+        assert t.dtype == np.float64 and np.array_equal(t, expected)
+        assert np.array_equal(np.signbit(t), np.signbit(expected))
+        # built in place: the peak is the result's own array
+        assert peak <= 1.1 * t.nbytes
 
 
 class TestBrownian:

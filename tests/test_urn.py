@@ -27,6 +27,9 @@ class TestUrnSpec:
             UrnSpec("constant", value=1.5)
         with pytest.raises(ValueError):
             UrnSpec("table", table=(0.2,))
+        # NaN fails both bounds' tests, so it must fail the in-range one
+        with pytest.raises(ValueError):
+            UrnSpec("table", table=(0.5, math.nan))
         with pytest.raises(ValueError):
             UrnSpec("identity", red0=0, total0=2)
         with pytest.raises(ValueError):
