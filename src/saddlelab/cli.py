@@ -226,8 +226,7 @@ def _dump_trajectories(out: DichotomyOutput, out_dir: Path) -> None:
 
 def _run_experiment_command(config: ExperimentConfig) -> int:
     started = time.perf_counter()
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    dump = None  # the dichotomy run whose recorded trials are written
     if config.kind == "sweep":
         cells = phase_sweep(config)
         rows = [_cell_row(c.k, c.gamma, c.prediction, c.result) for c in cells]
@@ -260,7 +259,12 @@ def _run_experiment_command(config: ExperimentConfig) -> int:
               f"undecided={r['n_undecided']} "
               f"p_conv={r['p_conv']:.4f} [{r['ci_lo']:.4f}, {r['ci_hi']:.4f}]")
         if config.dump_trajectories:
-            _dump_trajectories(out, out_dir)
+            dump = out
+    # made only now, so a run rejected before it counts leaves no directory
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if dump is not None:
+        _dump_trajectories(dump, out_dir)
     manifest = make_manifest(config, results, started)
     stem = config.kind.replace("-", "_")
     with open(out_dir / f"{stem}_manifest.json", "w") as fh:

@@ -389,37 +389,44 @@ def linear_hit_zero_mc(k: float, x_s: float, s: float, t_end: float,
     # sub-block's walk increments, then the bridge uniforms of the paths
     # that stayed below b, sub-block by sub-block in path order.  A stream
     # is read as by two requests, all its normals and then all its
-    # uniforms, so the count does not depend on TRIAL_CAP.  In between,
-    # the bridge probabilities of a generator's surviving paths are kept:
-    # survivors x HIT_GRID doubles, up to a whole HIT_BLOCK x HIT_GRID
-    # block when almost no path crosses at a node.
+    # uniforms, so the count does not depend on TRIAL_CAP.  The scaled
+    # increments are summed step-major in a second array of HIT_GRID x
+    # TRIAL_CAP doubles (512 KiB): each node is the row before it plus its
+    # own, the left-to-right sum np.cumsum along a path takes, so every
+    # node is bit for bit the same.  In between, the bridge probabilities
+    # of a generator's surviving paths are kept, step-major: survivors x
+    # HIT_GRID doubles, up to a whole HIT_BLOCK x HIT_GRID block when
+    # almost no path crosses at a node.
     width = rng.TRIAL_CAP
     buffer = np.empty((min(width, n_paths), HIT_GRID))
+    walk = np.empty((HIT_GRID, min(width, n_paths)))
     hits = 0
     for batch_index, done in enumerate(range(0, n_paths, HIT_BLOCK)):
         m = min(HIT_BLOCK, n_paths - done)
         gen = make_rng(derive_seed(seed, batch_index))
         p_bridges = []
         for lo in range(0, m, width):
-            w = buffer[:min(width, m - lo)]
-            gen.standard_normal(out=w)
-            w *= sqrt_dtau
-            np.cumsum(w, axis=1, out=w)
-            crossed = (w >= b).any(axis=1)
+            z = buffer[:min(width, m - lo)]
+            gen.standard_normal(out=z)
+            w = walk[:, :len(z)]
+            np.multiply(z.T, sqrt_dtau, out=w)
+            for j in range(1, HIT_GRID):
+                w[j] += w[j - 1]
+            crossed = np.maximum.reduce(w, axis=0) >= b
             hits += int(crossed.sum())
             alive = np.flatnonzero(~crossed)
             if len(alive):
-                # gap[:, j] = b - w at node j + 1; at node 0, w = 0 and b - 0 = b
-                gap = w[alive]
+                # gap[j] = b - w at node j + 1; at node 0, w = 0 and b - 0 = b
+                gap = w[:, alive]
                 np.subtract(b, gap, out=gap)
                 expo = np.empty_like(gap)
-                expo[:, 0] = -2.0 * b
-                np.multiply(-2.0, gap[:, :-1], out=expo[:, 1:])
+                expo[0] = -2.0 * b
+                np.multiply(-2.0, gap[:-1], out=expo[1:])
                 expo *= gap
                 expo /= dtau
                 p_bridges.append(np.exp(expo, out=expo))
         for p_bridge in p_bridges:
-            u = buffer[:len(p_bridge)]
+            u = buffer[:p_bridge.shape[1]]
             gen.random(out=u)
-            hits += int((u < p_bridge).any(axis=1).sum())
+            hits += int((u < p_bridge.T).any(axis=1).sum())
     return hits, n_paths

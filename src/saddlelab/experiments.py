@@ -148,6 +148,9 @@ class ExperimentConfig:
             if expected:
                 raise ValueError(f"config key {key!r} must be {expected}, "
                                  f"got {value!r}")
+            if not _is_finite(value):
+                raise ValueError(f"config key {key!r} must be finite, "
+                                 f"got {value!r}")
             if key in _MINIMUM and value < _MINIMUM[key]:
                 raise ValueError(f"config key {key!r} must be at least "
                                  f"{_MINIMUM[key]}, got {value!r}")
@@ -161,6 +164,13 @@ _MINIMUM = {"jobs": 1, "dump_max": 0}  # range checks on top of the type checks
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """False when a config value is, or a list value holds, a NaN or an
+    infinite float."""
+    values = value if isinstance(value, (list, tuple)) else (value,)
+    return not any(isinstance(v, float) and not math.isfinite(v) for v in values)
 
 
 def _type_mismatch(default, value) -> str | None:

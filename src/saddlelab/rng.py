@@ -17,7 +17,9 @@ requests (the test suite pins this), so the chunk length never changes a
 value.  Every run steps its trials in chunks of RETIRE_CHUNK steps when
 TRIAL_CAP trials are stepped together, and proportionally longer (up to
 NOISE_CHUNK) when fewer are, so at any width the draw buffer holds at most
-TRIAL_CAP x RETIRE_CHUNK draws (4 MiB, plus the row pad below).  The chunk
+TRIAL_CAP x RETIRE_CHUNK draws (4 MiB, plus the row pad below).  A run
+that retires escaped trials takes at most a third of its steps per chunk,
+so even a short one checks for escape before its last chunk.  The chunk
 sets how many draw calls a run makes and, in a run that retires escaped
 trials, how soon after its escape a trial stops.
 
@@ -291,7 +293,9 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
     min(NOISE_CHUNK, TRIAL_CAP * RETIRE_CHUNK // width) steps, width being
     the part's trial count: RETIRE_CHUNK steps when TRIAL_CAP trials are
     stepped together, proportionally more when fewer are.  The draw buffer
-    thus holds at most TRIAL_CAP x RETIRE_CHUNK draws at any width.
+    thus holds at most TRIAL_CAP x RETIRE_CHUNK draws at any width.  A run
+    with a barrier takes at most ceil(n_steps / 3) steps per chunk, so a
+    short one retires its escaped trials before its last chunk as well.
 
     Raises NonFiniteStateError with the first step, over all trials, after
     which some state is NaN or inf; with a barrier, a trial whose max
@@ -304,6 +308,8 @@ def drive(state: np.ndarray, n_steps: int, update, observers=(), *,
     chunk = min(NOISE_CHUNK, TRIAL_CAP * RETIRE_CHUNK // max(width, 1))
     recorded = 0  # how many leading trials must not retire
     if barrier is not None:
+        # a short run checks for escape before its last chunk too
+        chunk = min(chunk, -(-n_steps // 3))
         extremes, *record = observers
         if record:
             recorded = record[0].value.shape[-2]

@@ -475,19 +475,31 @@ class TestErrorPaths:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, named", [
-        (["--horizon", "inf", "--eps-conv", "0.01"], "t_end must be finite, got inf"),
-        (["--horizon", "inf"], "t_end must be finite, got inf"),
-        (["--dt", "inf", "--horizon", "5"], "dt must be finite, got inf"),
-    ], ids=["horizon-eps-conv", "horizon", "dt"])
+        (["--horizon", "inf", "--eps-conv", "0.01"],
+         "config key 'horizon' must be finite, got inf"),
+        (["--horizon", "inf"], "config key 'horizon' must be finite, got inf"),
+        (["--dt", "inf", "--horizon", "5"], "config key 'dt' must be finite, got inf"),
+        (["--x0", "nan"], "config key 'x0' must be finite, got nan"),
+    ], ids=["horizon-eps-conv", "horizon", "dt", "x0"])
     def test_non_finite_grid_is_an_error_line(self, argv, named, tmp_path, capsys):
-        # the grid names the field before any default eps_conv reads the
-        # horizon and before any trial is stepped
+        # the config names the key before the grid is built, before any
+        # default eps_conv reads the horizon and before any trial is stepped
         rc = main(["simulate", "--model", "continuous", *argv, "--trials", "2",
                    "--jobs", "1", "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err == f"error: {named}\n" and "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    def test_rejected_run_makes_no_out_directory(self, tmp_path, capsys):
+        # the runner rejects dt = 0 after the config is read; --out is made
+        # only once the run has results
+        out = tmp_path / "e1"
+        rc = main(["simulate", "--model", "continuous", "--dt", "0", "--trials", "2",
+                   "--jobs", "1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: dt must be positive\n"
+        assert not out.exists()
 
     def test_urn_without_trials_is_an_error_line(self, tmp_path, capsys):
         rc = main(["urn", "--trials", "0", "--steps", "10", "--jobs", "1",

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 
 import pytest
@@ -96,6 +97,15 @@ class TestExperimentConfig:
     def test_out_of_range_values_rejected(self, key, value, named):
         with pytest.raises(ValueError, match=named):
             ExperimentConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("horizon", math.inf), ("x0", math.nan), ("barrier", -math.inf),
+        ("k_values", [2.0, math.inf]), ("urn_table", (0.5, math.nan)),
+    ], ids=["horizon", "x0", "barrier", "k_values", "urn_table"])
+    def test_non_finite_values_rejected_by_key(self, key, value):
+        # a JSON config may spell them NaN and Infinity
+        with pytest.raises(ValueError, match=f"^config key '{key}' must be finite, got "):
+            ExperimentConfig.from_dict(json.loads(json.dumps({key: value})))
 
     def test_every_field_has_default(self):
         ExperimentConfig()

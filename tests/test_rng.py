@@ -1,4 +1,5 @@
 import itertools
+import math
 import pickle
 
 import numpy as np
@@ -370,7 +371,8 @@ def test_draw_buffer_rows_are_an_odd_number_of_lines_apart(width, chunk):
 
 def test_every_draw_buffer_holds_at_most_trial_cap_retire_chunks(monkeypatch):
     # classifying or not, a run's buffer is TRIAL_CAP x RETIRE_CHUNK draws at
-    # most; narrower parts draw longer chunks, up to NOISE_CHUNK
+    # most; narrower parts draw longer chunks, up to NOISE_CHUNK, and a
+    # classifying run at most a third of its steps
     shapes = []
     draw_buffer = rng._draw_buffer
 
@@ -392,10 +394,42 @@ def test_every_draw_buffer_holds_at_most_trial_cap_retire_chunks(monkeypatch):
                   seeds=derive_seed(64, np.arange(width)),
                   sample=lambda gen, out: gen.random(out=out), barrier=barrier)
             (shape,) = shapes
+            horizon = math.inf if barrier is None else math.ceil(n_steps / 3)
             assert shape == (width, min(rng.NOISE_CHUNK,
-                                        rng.TRIAL_CAP * rng.RETIRE_CHUNK // width))
+                                        rng.TRIAL_CAP * rng.RETIRE_CHUNK // width,
+                                        horizon))
             assert width * shape[1] <= rng.TRIAL_CAP * rng.RETIRE_CHUNK
             shapes.clear()
+
+
+def test_a_short_classifying_run_checks_for_escape_before_its_last_chunk(monkeypatch):
+    # 512 trials over 1,500 steps would draw 1,024 + 476 steps by width
+    # alone; with a barrier they step three chunks of 500, and the trials
+    # that passed the barrier in the first retire at its end
+    chunks = []
+    ranges = rng.chunk_ranges
+
+    def spy(n, chunk):
+        chunks.append(chunk)
+        return ranges(n, chunk)
+
+    monkeypatch.setattr(rng, "chunk_ranges", spy)
+    stepped = []
+
+    def update(x, step, noise):
+        stepped.append(x.shape[-1])
+        x += noise
+
+    n_steps, width = 1500, 512
+    extremes = Extremes(width, np.arange(n_steps + 1.0))
+    drive(np.zeros(width), n_steps, update, [extremes],
+          seeds=derive_seed(65, np.arange(width)),
+          sample=lambda gen, out: gen.standard_normal(out=out), barrier=3.0)
+    (chunk,) = chunks
+    assert chunk == 500 <= math.ceil(n_steps / 3)
+    assert width * chunk <= rng.TRIAL_CAP * rng.RETIRE_CHUNK
+    assert stepped[:chunk] == [width] * chunk
+    assert stepped[chunk] < width
 
 
 def _retire_in_parts(monkeypatch, size):
