@@ -18,9 +18,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -44,7 +42,11 @@ __all__ = [
     "MomentReport",
 ]
 
-_NORMAL = NormalDist()
+# None until replaced: estimate_probability imports the pool where it starts
+# one, because importing concurrent.futures.process costs every command about
+# 17 ms of start-up; the benchmark's tracer and the tests replace this name
+ProcessPoolExecutor = None
+
 
 class Outcome(enum.Enum):
     CONVERGED = "converged"
@@ -111,7 +113,9 @@ def wilson_interval(successes: int, trials: int,
         return (0.0, 1.0)
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    z = _NORMAL.inv_cdf(0.5 + confidence / 2.0)
+    from statistics import NormalDist
+
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -212,8 +216,11 @@ def estimate_probability(runners, n_trials: int, base_seeds, jobs: int = 1):
             tasks.append((block, seeds[a:a + width]))
             owners.append(cell)
     if jobs > 1 and len(tasks) > 1:
+        pool_type = ProcessPoolExecutor
+        if pool_type is None:
+            from concurrent.futures import ProcessPoolExecutor as pool_type
         # a pool starts all its workers at once, so none beyond the blocks
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        with pool_type(max_workers=min(jobs, len(tasks))) as pool:
             outcomes = list(pool.map(_run_block_or_error, tasks))
     else:
         outcomes = [_run_block_or_error(task) for task in tasks]

@@ -105,7 +105,10 @@ def load_config_file(path: str) -> dict:
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
     with open(p) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"config file {p} is not valid JSON: {exc}") from exc
     # a manifest is accepted anywhere a config is: unwrap its snapshot
     if isinstance(data, dict) and "config" in data and "artifact_version" in data:
         data = data["config"]
@@ -203,8 +206,13 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         data[key] = value
         if key == "seed":
             seed_given = True
-    if not seed_given and os.environ.get("SADDLELAB_SEED"):
-        data["seed"] = int(os.environ["SADDLELAB_SEED"])
+    env_seed = os.environ.get("SADDLELAB_SEED")
+    if not seed_given and env_seed:
+        try:
+            data["seed"] = int(env_seed)
+        except ValueError:
+            raise ValueError(f"SADDLELAB_SEED must be an integer, "
+                             f"got {env_seed!r}") from None
     if data.get("jobs") is None:
         # the CPUs this process may run on, where the platform can tell
         affinity = getattr(os, "sched_getaffinity", None)

@@ -159,7 +159,8 @@ class ExperimentConfig:
         return cls(**data)
 
 
-_MINIMUM = {"jobs": 1, "dump_max": 0}  # range checks on top of the type checks
+# range checks on top of the type checks
+_MINIMUM = {"jobs": 1, "dump_max": 0, "seed": 0}
 
 
 def _is_number(value) -> bool:

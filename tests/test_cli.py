@@ -383,6 +383,20 @@ class TestErrorPaths:
         assert rc != 0
         assert "nope.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe{"],
+                             ids=["syntax", "not-utf8"])
+    def test_config_not_json_names_the_file(self, content, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(bad), "--trials", "2",
+                   "--jobs", "1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {bad} is not valid JSON: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_config_keys_listed(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"gamm": 0.9, "bogus": 1}))
@@ -615,6 +629,34 @@ class TestSeedResolution:
         manifest = json.loads(
             (tmp_path / "monomial_dichotomy_manifest.json").read_text())
         assert manifest["base_seed"] == 1
+
+    @pytest.mark.parametrize("source", ["flag", "file", "env"])
+    def test_negative_seed_is_an_error_line(self, source, tmp_path, monkeypatch,
+                                            capsys):
+        argv = ["simulate", "--trials", "2", "--jobs", "1",
+                "--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv += ["--seed", "-5"]
+        elif source == "file":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": -5}))
+            argv += ["--config", str(cfg)]
+        else:
+            monkeypatch.setenv("SADDLELAB_SEED", "-5")
+        assert main(argv) == 2
+        assert (capsys.readouterr().err
+                == "error: config key 'seed' must be at least 0, got -5\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_env_seed_not_an_integer_is_an_error_line(self, tmp_path, monkeypatch,
+                                                      capsys):
+        monkeypatch.setenv("SADDLELAB_SEED", "abc")
+        rc = main(["simulate", "--trials", "2", "--jobs", "1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert (capsys.readouterr().err
+                == "error: SADDLELAB_SEED must be an integer, got 'abc'\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestValidateCommand:

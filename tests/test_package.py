@@ -92,16 +92,31 @@ def test_tracer_counts_one_drift_eval_per_step():
             assert tracer.useful_steps == tracer.classified_steps == len(seeds) * steps
 
 
-def test_import_leaves_numpy_random_out():
+_POOL = ("concurrent.futures", "multiprocessing")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (None, ("numpy.random", *_POOL, "statistics")),
+    (["urn", "--steps", "100", "--trials", "8", "--jobs", "1"],
+     (*_POOL, "statistics")),
+    (["linear-dichotomy", "--trials", "8", "--horizon", "1", "--dt", "0.01",
+      "--jobs", "1"], _POOL),
+], ids=["import", "urn", "linear-dichotomy"])
+def test_import_leaves_numpy_random_out(argv, absent, tmp_path):
     # numpy.random costs every command's start-up; rng imports it with the
-    # first stream key
-    code = "import sys, saddlelab.cli; print('numpy.random' in sys.modules)"
+    # first stream key.  The process pool is imported where a pool starts
+    # and statistics where a Wilson interval is computed, so a serial run
+    # never imports the pool and the urn neither
+    code = "import sys, saddlelab.cli as cli\n"
+    if argv is not None:
+        code += f"assert cli.main({argv + ['--out', str(tmp_path)]!r}) == 0\n"
+    code += f"print([m for m in {absent!r} if m in sys.modules])"
     src = str(Path(saddlelab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_tracer_installs_and_uninstalls():
